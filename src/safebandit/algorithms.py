@@ -60,6 +60,14 @@ def action_kernel(f: OutcomeModel, gamma: float, x) -> np.ndarray:
     return action_probs(f.values(x), gamma)
 
 
+def _xi_epoch(
+    m: int, schedule: EpochSchedule, rate: EstimationRate, delta_prime: float
+) -> float:
+    """Estimation rate used in epoch m: xi at the previous epoch's size and
+    confidence delta' / m^2."""
+    return float(rate.xi(schedule.epoch_size(m - 1), delta_prime / m**2))
+
+
 def gamma_m(
     m: int,
     schedule: EpochSchedule,
@@ -73,9 +81,7 @@ def gamma_m(
         raise ValueError("epoch index must be >= 1")
     if m == 1:
         return 1.0
-    n_prev = schedule.tau(m - 1) - schedule.tau(m - 2)
-    x = float(rate.xi(n_prev, delta_prime / m**2))
-    return math.sqrt(K / (8.0 * x))
+    return math.sqrt(K / (8.0 * _xi_epoch(m, schedule, rate, delta_prime)))
 
 
 def l_prime(m: int, rewards, delta_prime: float) -> float:
@@ -118,8 +124,7 @@ def _log_term(m: int, tau1: int, delta_prime: float) -> float:
 def _sqrt_xi_epoch(
     e: int, schedule: EpochSchedule, rate: EstimationRate, delta_prime: float
 ) -> float:
-    n_prev = schedule.tau(e - 1) - schedule.tau(e - 2)
-    return math.sqrt(float(rate.xi(n_prev, delta_prime / e**2)))
+    return math.sqrt(_xi_epoch(e, schedule, rate, delta_prime))
 
 
 def lower_bound_L(
@@ -206,15 +211,13 @@ def _run_epoch_loop(
     rate = oracle.rate
     dp = config.delta_prime
     T = config.horizon
-    sqrt_K = math.sqrt(K)
 
     models = {1: zero_model(K)}
     gammas = {1: 1.0}
-    l_values = {0: 0.0}
+    l_prev = 0.0
     m_hat = 0
     safe = True
     crwd = 0.0
-    xi_cumsum = 0.0
     detection_round = None
     fallback_model = models[1]
     fallback_gamma = 1.0
@@ -231,13 +234,9 @@ def _run_epoch_loop(
         tau_m = schedule.tau(m)
         model = models.get(m, fallback_model)
         gamma = gammas.get(m, fallback_gamma)
-        if safe and m >= 2:
-            sqrt_xi = _sqrt_xi_epoch(m, schedule, rate, dp)
+        check_set = ()
+        if run_checks and safe and m >= 2:
             check_set = set(safety_check_times(m, schedule))
-            log_term = _log_term(m, config.tau1, dp)
-            l_prev = l_values[m - 1]
-            avg_base = l_prev - EXPLORATION_CONSTANT * sqrt_K * sqrt_xi
-        S = []
         epoch_reward_sum = 0.0
         for t in range(tau_prev + 1, min(tau_m, T) + 1):
             x, means, rewards = env.sample(rng)
@@ -253,7 +252,7 @@ def _run_epoch_loop(
             opt_mean = float(means[opt])
 
             epochs.append(m)
-            contexts.append(np.atleast_1d(x) if not isinstance(x, int) else np.array([x]))
+            contexts.append(np.atleast_1d(x))
             actions.append(a)
             rewards_chosen.append(r)
             reward_vectors.append(rewards)
@@ -263,42 +262,34 @@ def _run_epoch_loop(
 
             if safe:
                 crwd += r
-                S.append((x, a, r))
                 epoch_reward_sum += r
-                if m >= 2:
-                    xi_cumsum += sqrt_xi
-                    if run_checks and t in check_set:
-                        L_t = (
-                            t * l_prev
-                            - config.tau1
-                            - math.sqrt(2 * t * log_term)
-                            - EXPLORATION_CONSTANT * sqrt_K * xi_cumsum
+                if t in check_set:
+                    ok = check_is_safe(m, t, l_prev, crwd, schedule, rate, dp, K)
+                    if ok and config.enable_avg_epoch_test:
+                        ok = avg_epoch_check(
+                            t, m, l_prev, epoch_reward_sum / (t - tau_prev),
+                            schedule, rate, dp, K,
                         )
-                        ok = crwd >= L_t
-                        if ok and config.enable_avg_epoch_test:
-                            n_ep = t - tau_prev
-                            ok = epoch_reward_sum / n_ep >= avg_base - math.sqrt(
-                                2.0 / n_ep * log_term
-                            )
-                        if not ok:
-                            safe = False
-                            detection_round = t
-                            if m_hat >= 1:
-                                fallback_model = models[m_hat]
-                                fallback_gamma = gammas[m_hat]
-                            # m_hat == 0 can only happen when every l'_m so
-                            # far was <= 0; fall back to the uniform epoch-1
-                            # kernel in that case.
+                    if not ok:
+                        safe = False
+                        detection_round = t
+                        if m_hat >= 1:
+                            fallback_model = models[m_hat]
+                            fallback_gamma = gammas[m_hat]
+                        # m_hat == 0 can only happen when every l'_m so
+                        # far was <= 0; fall back to the uniform epoch-1
+                        # kernel in that case.
             safe_flags.append(safe)
             m_hat_flags.append(m_hat)
 
         if safe and t == tau_m:
-            epoch_rewards = [r for _, _, r in S]
-            l_values[m], m_hat = choose_safe(m, epoch_rewards, l_values[m - 1], m_hat, dp)
+            l_prev, m_hat = choose_safe(m, rewards_chosen[tau_prev:], l_prev, m_hat, dp)
             # patch the m_hat column for this epoch's final round
             m_hat_flags[-1] = m_hat
             if tau_m < T:
-                models[m + 1] = oracle.fit(S)
+                models[m + 1] = oracle.fit(
+                    list(zip(contexts[tau_prev:], actions[tau_prev:], rewards_chosen[tau_prev:]))
+                )
                 gammas[m + 1] = gamma_scale * gamma_m(m + 1, schedule, rate, dp, K)
 
     return RunTrace(

@@ -189,7 +189,6 @@ def epoch_summaries(trace) -> list[EpochSummary]:
     """Per-epoch averages of realized and expected regret for one run."""
     realized = trace.realized_regret
     out = []
-    t0 = 1
     for m in np.unique(trace.epoch):
         mask = trace.epoch == m
         count = int(mask.sum())
@@ -204,7 +203,6 @@ def epoch_summaries(trace) -> list[EpochSummary]:
                 mean_expected_regret=float(trace.expected_regret[mask].mean()),
             )
         )
-        t0 += count
     return out
 
 

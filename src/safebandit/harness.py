@@ -33,6 +33,8 @@ TRACE_HEADER = [
     "m_hat",
 ]
 
+EPOCHS_HEADER = ["epoch", "run_id", "mean_regret", "count", "ci_low", "ci_high"]
+
 
 class ConfigError(ValueError):
     pass
@@ -174,33 +176,24 @@ def write_trace_csv(path: str, traces):
                 )
 
 
-def write_epochs_csv(path: str, per_run, aggregate, algorithm=None):
+def _epoch_rows(per_run, aggregate):
+    """epochs.csv rows: per-epoch mean regret per run, then the cross-run
+    aggregate rows (run_id = 'all')."""
+    for run_id, summaries in enumerate(per_run):
+        for s in summaries:
+            yield [s.epoch, run_id, _fmt(s.mean_realized_regret), s.count, "", ""]
+    for row in aggregate:
+        yield [row["epoch"], "all", _fmt(row["mean"]), "",
+               _fmt(row["ci_low"]), _fmt(row["ci_high"])]
+
+
+def write_epochs_csv(path: str, per_run, aggregate):
     """Per-epoch mean regret per run plus cross-run aggregate rows
     (run_id = 'all')."""
-    header = ["epoch", "run_id", "mean_regret", "count", "ci_low", "ci_high"]
-    if algorithm is not None:
-        header = ["algorithm"] + header
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
-        for run_id, summaries in enumerate(per_run):
-            for s in summaries:
-                row = [s.epoch, run_id, _fmt(s.mean_realized_regret), s.count, "", ""]
-                if algorithm is not None:
-                    row = [algorithm] + row
-                w.writerow(row)
-        for row_data in aggregate:
-            row = [
-                row_data["epoch"],
-                "all",
-                _fmt(row_data["mean"]),
-                "",
-                _fmt(row_data["ci_low"]),
-                _fmt(row_data["ci_high"]),
-            ]
-            if algorithm is not None:
-                row = [algorithm] + row
-            w.writerow(row)
+        w.writerow(EPOCHS_HEADER)
+        w.writerows(_epoch_rows(per_run, aggregate))
 
 
 def render_regret_svg(aggregate, title="per-epoch mean regret") -> str:
@@ -295,33 +288,29 @@ def compare_experiments(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> dic
         raise ConfigError("compared configs must share the horizon T")
     if (cfg_a.env, cfg_a.env_k, cfg_a.env_b) != (cfg_b.env, cfg_b.env_k, cfg_b.env_b):
         raise ConfigError("compared configs must share the environment")
+    if cfg_a.algorithm == cfg_b.algorithm:
+        raise ConfigError("compared configs must use different algorithms")
     out = cfg_a.out
     os.makedirs(out, exist_ok=True)
     result = {"epochs": os.path.join(out, "compare_epochs.csv"),
               "flips": os.path.join(out, "compare_flips.csv")}
-    with open(result["epochs"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["algorithm", "epoch", "run_id", "mean_regret", "count", "ci_low", "ci_high"])
     aggregates = {}
+    epoch_rows = []
     flip_rows = []
     for cfg in (cfg_a, cfg_b):
         traces = run_replications(cfg)
         per_run = [epoch_summaries(t) for t in traces]
         aggregate = aggregate_runs(per_run)
         aggregates[cfg.algorithm] = aggregate
-        with open(result["epochs"], "a", newline="") as fh:
-            w = csv.writer(fh)
-            for run_id, summaries in enumerate(per_run):
-                for s in summaries:
-                    w.writerow([cfg.algorithm, s.epoch, run_id,
-                                _fmt(s.mean_realized_regret), s.count, "", ""])
-            for row in aggregate:
-                w.writerow([cfg.algorithm, row["epoch"], "all", _fmt(row["mean"]),
-                            "", _fmt(row["ci_low"]), _fmt(row["ci_high"])])
+        epoch_rows += ([cfg.algorithm] + row for row in _epoch_rows(per_run, aggregate))
         if cfg.algorithm == "safe-falcon":
             for run_id, t in enumerate(traces):
                 flip = first_flip_epoch(t)
                 flip_rows.append([run_id, "" if flip is None else flip])
+    with open(result["epochs"], "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["algorithm"] + EPOCHS_HEADER)
+        w.writerows(epoch_rows)
     with open(result["flips"], "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["run_id", "flip_epoch"])

@@ -145,7 +145,8 @@ class RegressionOracle:
     rate: EstimationRate
 
     def fit(self, data) -> OutcomeModel:
-        """Fit on a dataset of (context, arm, reward) triples."""
+        """Fit on a dataset of (context, arm, reward) triples; each context is
+        the 1-d array the run trace records for its round."""
         raise NotImplementedError
 
 

@@ -26,6 +26,7 @@ from safebandit import (
     run_safe_falcon,
     safety_check_times,
 )
+from safebandit import algorithms
 from safebandit.algorithms import EXPLORATION_CONSTANT, FALCON_PLUS_GAMMA_SCALE
 
 RATE = LinearChiSquaredRate()
@@ -290,3 +291,80 @@ class TestEpochLoopIntegration:
         cfg = AlgorithmConfig(tau1=4, delta=0.05, horizon=500)
         trace = run_falcon_plus(env, LinearPerArmOracle(2, 1), cfg, seed=1)
         assert np.all(trace.expected_regret >= -1e-12)
+
+
+def replay_tests(trace, cfg):
+    """Replay the misspecification tests on the trace's own rewards with the
+    reference functions only. Returns the detection round, the final m_hat,
+    and the arguments of every test evaluated, in order."""
+    schedule = EpochSchedule(cfg.tau1)
+    K = trace.reward_vectors.shape[1]
+    dp = cfg.delta_prime
+    T = cfg.horizon
+    crwd = np.cumsum(trace.rewards)
+    l_prev, m_hat = 0.0, 0
+    calls = []
+    m = 1
+    while schedule.tau(m - 1) < T:
+        lo, hi = schedule.tau(m - 1), min(schedule.tau(m), T)
+        if m >= 2:
+            epoch_sum = np.cumsum(trace.rewards[lo:hi])
+            for t in safety_check_times(m, schedule):
+                if t > T:
+                    break
+                c = float(crwd[t - 1])
+                calls.append(("cumulative", m, t, l_prev, c))
+                ok = check_is_safe(m, t, l_prev, c, schedule, RATE, dp, K)
+                if ok and cfg.enable_avg_epoch_test:
+                    mean = float(epoch_sum[t - lo - 1]) / (t - lo)
+                    calls.append(("average", m, t, l_prev, mean))
+                    ok = avg_epoch_check(t, m, l_prev, mean, schedule, RATE, dp, K)
+                if not ok:
+                    return t, m_hat, calls
+        if hi == schedule.tau(m):
+            l_prev, m_hat = choose_safe(m, trace.rewards[lo:hi], l_prev, m_hat, dp)
+        m += 1
+    return None, m_hat, calls
+
+
+class TestLoopAppliesReferenceTests:
+    @pytest.mark.parametrize(
+        "crash,avg_test,tau1,seed",
+        [
+            (crash, avg_test, tau1, seed)
+            for crash in (-50.0, -5.0)
+            for avg_test in (False, True)
+            for tau1 in (8, 64)
+            for seed in (0, 1, 2)
+        ]
+        + [(None, True, 8, 0)],
+    )
+    def test_replay_agrees(self, monkeypatch, crash, avg_test, tau1, seed):
+        """The loop evaluates the reference tests with the replay's arguments
+        at every check time, and its detection round and fallback epoch equal
+        the replay's."""
+        calls = []
+
+        def record_cumulative(m, t, l_prev, crwd, *rest):
+            calls.append(("cumulative", m, t, l_prev, crwd))
+            return check_is_safe(m, t, l_prev, crwd, *rest)
+
+        def record_average(t, m, l_prev, mean, *rest):
+            calls.append(("average", m, t, l_prev, mean))
+            return avg_epoch_check(t, m, l_prev, mean, *rest)
+
+        monkeypatch.setattr(algorithms, "check_is_safe", record_cumulative)
+        monkeypatch.setattr(algorithms, "avg_epoch_check", record_average)
+        if crash is None:
+            env = realizable_linear_env(2, dim=1, coefficient_seed=5)
+        else:
+            env = CollapseEnv(collapse_at=128, crash=crash)
+        cfg = AlgorithmConfig(tau1=tau1, delta=0.05, horizon=4096, enable_avg_epoch_test=avg_test)
+        trace = run_safe_falcon(env, LinearPerArmOracle(2, 1), cfg, seed=seed)
+        detection, m_hat, replayed = replay_tests(trace, cfg)
+        assert (detection, m_hat) == (trace.detection_round, trace.m_hat_final)
+        assert calls == replayed
+        if crash is None:
+            assert trace.detection_round is None
+        elif crash == -50.0:
+            assert trace.detection_round is not None

@@ -1,6 +1,8 @@
 """Tests for configuration, experiment outputs, and the CLI."""
 
 import csv
+import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,6 +174,33 @@ class TestCompare:
                 small_config(tmp_path, env="realizable-linear"),
             )
 
+    def test_same_algorithm_rejected(self, tmp_path):
+        # both sides' rows are keyed by algorithm, so they would collide
+        with pytest.raises(ConfigError):
+            compare_experiments(
+                small_config(tmp_path, algorithm="safe-falcon", avg_epoch_test=True),
+                small_config(tmp_path, algorithm="safe-falcon", avg_epoch_test=False),
+            )
+        assert not (tmp_path / "out").exists()
+
+    def test_compare_epochs_match_run_experiment(self, tmp_path):
+        cfg_a = small_config(tmp_path, algorithm="safe-falcon", avg_epoch_test=True,
+                             out=str(tmp_path / "cmp"))
+        cfg_b = small_config(tmp_path, algorithm="falcon-plus", seed=7,
+                             out=str(tmp_path / "cmp"))
+        result = compare_experiments(cfg_a, cfg_b)
+        with open(result["epochs"], newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][0] == "algorithm"
+        for cfg in (cfg_a, cfg_b):
+            paths = run_experiment(replace(cfg, out=str(tmp_path / cfg.algorithm)))
+            side = [rows[0][1:]] + [r[1:] for r in rows[1:] if r[0] == cfg.algorithm]
+            with open(paths["epochs"], newline="") as fh:
+                expected = fh.read()
+            buf = io.StringIO(newline="")
+            csv.writer(buf).writerows(side)
+            assert buf.getvalue() == expected
+
 
 class TestCli:
     def test_run_subcommand(self, tmp_path, capsys):
@@ -199,9 +228,11 @@ class TestCli:
         with open(tmp_path / "o2" / "trace.csv") as fh:
             assert len(list(csv.reader(fh))) - 1 == 32
 
-    def test_config_error_exit_code(self):
+    def test_config_error_exit_code(self, tmp_path):
         assert main(["run", "--algorithm", "thompson"]) == 2
         assert main(["run", "--T", "not-a-number"]) == 2
+        assert main(["compare", "--a-algorithm", "safe-falcon", "--b-algorithm", "safe-falcon",
+                     "--out", str(tmp_path)]) == 2
 
     def test_lowerbound_check(self, capsys):
         assert main(["lowerbound-check", "--K", "3", "--B", "0.05"]) == 0
