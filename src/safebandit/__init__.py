@@ -37,6 +37,7 @@ from .environments import (
 )
 from .oracle import (
     CommonRate,
+    Dataset,
     EstimationRate,
     LinearChiSquaredRate,
     LinearPerArmOracle,

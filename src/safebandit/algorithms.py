@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import EpochSchedule, OutcomeModel, RunTrace, zero_model
 from .environments import BanditEnvironment
-from .oracle import EstimationRate, RegressionOracle
+from .oracle import Dataset, EstimationRate, RegressionOracle
 
 # Constant in front of the exploration sums; (2 + C0) * sqrt(8) with C0 = 5.15,
 # used literally as 20.3.
@@ -42,16 +42,26 @@ class AlgorithmConfig:
 
 
 def action_probs(values: np.ndarray, gamma: float) -> np.ndarray:
-    """Inverse-gap-weighted distribution over arms for one context.
+    """Inverse-gap-weighted distribution over arms, along the last axis: one
+    context's length-K values give one distribution, an (n, K) array n rows.
 
     Non-best arms get 1 / (K + gamma * gap); the best arm absorbs the rest.
     """
-    K = len(values)
-    best = int(np.argmax(values))
-    p = 1.0 / (K + gamma * (values[best] - values))
-    p[best] = 0.0
-    p[best] = 1.0 - p.sum()
+    values = np.asarray(values, dtype=float)
+    K = values.shape[-1]
+    best = np.argmax(values, axis=-1)[..., None]
+    p = 1.0 / (K + gamma * (np.take_along_axis(values, best, axis=-1) - values))
+    np.put_along_axis(p, best, 0.0, axis=-1)
+    np.put_along_axis(p, best, 1.0 - p.sum(axis=-1, keepdims=True), axis=-1)
     return p
+
+
+def _draw_arms(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw of one arm per row of ``p``: the first arm whose
+    cumulative probability reaches the row's uniform, or the last arm when
+    rounding leaves the cumulative sum short of it."""
+    below = np.cumsum(p, axis=-1) < np.asarray(u)[..., None]
+    return np.minimum(below.sum(axis=-1), p.shape[-1] - 1)
 
 
 def action_kernel(f: OutcomeModel, gamma: float, x) -> np.ndarray:
@@ -205,104 +215,98 @@ def _run_epoch_loop(
     gamma_scale: float,
     run_checks: bool,
 ) -> RunTrace:
-    rng = np.random.Generator(np.random.Philox(seed))
+    """Play one run an epoch at a time.
+
+    The model and gamma are fixed within an epoch, and no draw depends on
+    the policy: the environment draws from ``Philox(seed)`` and the action
+    uniforms from the same generator jumped ahead by 2^128 draws. So each
+    epoch's contexts, rewards and uniforms are drawn first and played as
+    arrays. The misspecification tests run only at the epoch's check times;
+    after the first failure the rest of the epoch is played again, on the
+    same draws, with the fallback kernel.
+    """
+    bitgen = np.random.Philox(seed)
+    env_rng = np.random.Generator(bitgen)
+    act_rng = np.random.Generator(bitgen.jumped())
     schedule = EpochSchedule(config.tau1)
     K = env.K
     rate = oracle.rate
     dp = config.delta_prime
     T = config.horizon
 
-    models = {1: zero_model(K)}
-    gammas = {1: 1.0}
+    # (model, gamma) played in each epoch; epoch 1's is the uniform kernel
+    policies = {1: (zero_model(K), 1.0)}
     l_prev = 0.0
     m_hat = 0
-    safe = True
     crwd = 0.0
     detection_round = None
-    fallback_model = models[1]
-    fallback_gamma = 1.0
-
-    epochs, contexts, actions, rewards_chosen = [], [], [], []
-    reward_vectors, optimal_arms, optimal_means = [], [], []
-    expected_regret, safe_flags, m_hat_flags = [], [], []
+    blocks = []
 
     m = 0
-    t = 0
-    while t < T:
+    while schedule.tau(m) < T:
         m += 1
-        tau_prev = schedule.tau(m - 1)
-        tau_m = schedule.tau(m)
-        model = models.get(m, fallback_model)
-        gamma = gammas.get(m, fallback_gamma)
-        check_set = ()
-        if run_checks and safe and m >= 2:
-            check_set = set(safety_check_times(m, schedule))
-        epoch_reward_sum = 0.0
-        for t in range(tau_prev + 1, min(tau_m, T) + 1):
-            x, means, rewards = env.sample(rng)
-            if safe:
-                p = action_probs(model.values(x), gamma)
-            else:
-                p = action_probs(fallback_model.values(x), fallback_gamma)
-            a = int(np.searchsorted(np.cumsum(p), rng.random()))
-            if a >= K:
-                a = K - 1
-            r = float(rewards[a])
-            opt = int(np.argmax(means))
-            opt_mean = float(means[opt])
+        lo, hi = schedule.tau(m - 1), min(schedule.tau(m), T)
+        n = hi - lo
+        rows = np.arange(n)
+        X, means, R = env.sample_batch(env_rng, n)
+        U = act_rng.random(n)
+        safe = detection_round is None
+        if safe:
+            model, gamma = policies[m]
+        # after a detection, model and gamma stay the fallback's
+        P = action_probs(model.values_batch(X), gamma)
+        A = _draw_arms(P, U)
+        r = R[rows, A]
+        safe_col = np.full(n, safe)
 
-            epochs.append(m)
-            contexts.append(np.atleast_1d(x))
-            actions.append(a)
-            rewards_chosen.append(r)
-            reward_vectors.append(rewards)
-            optimal_arms.append(opt)
-            optimal_means.append(opt_mean)
-            expected_regret.append(opt_mean - float(p @ means))
+        if safe and run_checks:
+            # seeded with the carried total, so every entry equals the
+            # round-by-round sum
+            running = np.cumsum(np.r_[crwd, r])[1:]
+            crwd = float(running[-1])
+            epoch_sum = np.cumsum(r)
+            check_times = safety_check_times(m, schedule) if m >= 2 else []
+            for t in check_times:
+                if t > hi:
+                    break
+                i = t - lo - 1
+                ok = check_is_safe(m, t, l_prev, float(running[i]), schedule, rate, dp, K)
+                if ok and config.enable_avg_epoch_test:
+                    ok = avg_epoch_check(
+                        t, m, l_prev, float(epoch_sum[i]) / (t - lo), schedule, rate, dp, K
+                    )
+                if not ok:
+                    detection_round = t
+                    safe_col[i:] = False
+                    # m_hat == 0 can only happen when every l'_m so far was
+                    # <= 0; fall back to the uniform epoch-1 kernel then.
+                    model, gamma = policies[max(m_hat, 1)]
+                    rest = slice(i + 1, n)
+                    P[rest] = action_probs(model.values_batch(X[rest]), gamma)
+                    A[rest] = _draw_arms(P[rest], U[rest])
+                    r = R[rows, A]
+                    break
 
-            if safe:
-                crwd += r
-                epoch_reward_sum += r
-                if t in check_set:
-                    ok = check_is_safe(m, t, l_prev, crwd, schedule, rate, dp, K)
-                    if ok and config.enable_avg_epoch_test:
-                        ok = avg_epoch_check(
-                            t, m, l_prev, epoch_reward_sum / (t - tau_prev),
-                            schedule, rate, dp, K,
-                        )
-                    if not ok:
-                        safe = False
-                        detection_round = t
-                        if m_hat >= 1:
-                            fallback_model = models[m_hat]
-                            fallback_gamma = gammas[m_hat]
-                        # m_hat == 0 can only happen when every l'_m so
-                        # far was <= 0; fall back to the uniform epoch-1
-                        # kernel in that case.
-            safe_flags.append(safe)
-            m_hat_flags.append(m_hat)
-
-        if safe and t == tau_m:
-            l_prev, m_hat = choose_safe(m, rewards_chosen[tau_prev:], l_prev, m_hat, dp)
-            # patch the m_hat column for this epoch's final round
-            m_hat_flags[-1] = m_hat
-            if tau_m < T:
-                models[m + 1] = oracle.fit(
-                    list(zip(contexts[tau_prev:], actions[tau_prev:], rewards_chosen[tau_prev:]))
+        m_hat_col = np.full(n, m_hat)
+        if detection_round is None and hi == schedule.tau(m):
+            l_prev, m_hat = choose_safe(m, r, l_prev, m_hat, dp)
+            m_hat_col[-1] = m_hat
+            if hi < T:
+                policies[m + 1] = (
+                    oracle.fit(Dataset(X, A, r)),
+                    gamma_scale * gamma_m(m + 1, schedule, rate, dp, K),
                 )
-                gammas[m + 1] = gamma_scale * gamma_m(m + 1, schedule, rate, dp, K)
+
+        opt = np.argmax(means, axis=1)
+        opt_mean = means[rows, opt]
+        expected_regret = opt_mean - (P * means).sum(axis=1)
+        # in RunTrace field order
+        blocks.append(
+            (np.full(n, m), X, A, r, R, opt, opt_mean, expected_regret, safe_col, m_hat_col)
+        )
 
     return RunTrace(
-        epoch=np.asarray(epochs, dtype=int),
-        contexts=np.asarray(contexts, dtype=float),
-        actions=np.asarray(actions, dtype=int),
-        rewards=np.asarray(rewards_chosen, dtype=float),
-        reward_vectors=np.asarray(reward_vectors, dtype=float),
-        optimal_arms=np.asarray(optimal_arms, dtype=int),
-        optimal_means=np.asarray(optimal_means, dtype=float),
-        expected_regret=np.asarray(expected_regret, dtype=float),
-        safe=np.asarray(safe_flags, dtype=bool),
-        m_hat=np.asarray(m_hat_flags, dtype=int),
+        *(np.concatenate(column) for column in zip(*blocks)),
         detection_round=detection_round,
         m_hat_final=m_hat,
     )

@@ -39,7 +39,7 @@ def tabular_kernel_family(
         greedy[np.arange(nX), np.argmax(table, axis=1)] = 1.0
         kernels.append(greedy)
         for g in gammas:
-            kernels.append(np.vstack([action_probs(table[i], g) for i in range(nX)]))
+            kernels.append(action_probs(table, g))
     return kernels
 
 
@@ -77,7 +77,10 @@ def lower_bound_instance_regret(K: int, B: float, g) -> float:
     alpha = math.sqrt(K * K * B / (K - 1))
     # R(pi*) = alpha; every constant-arm policy has value alpha / K.
     regret = float(np.sum(g * (alpha - alpha / K)))
-    assert regret >= math.sqrt(K * B / 2.0) - 1e-12
+    bound = math.sqrt(K * B / 2.0)
+    if regret < bound - 1e-12:
+        # only a g whose sum is short of 1 within the tolerance above gets here
+        raise ValueError(f"regret {regret!r} is below the bound sqrt(KB/2) = {bound!r}")
     return regret
 
 

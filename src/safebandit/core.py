@@ -7,15 +7,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _one_row(x) -> np.ndarray:
+    """One context (a scalar or a 1-d array) as a batch of one row."""
+    return np.atleast_1d(np.asarray(x, dtype=float))[None, :]
+
+
 class OutcomeModel:
     """Deterministic map from (context, arm) to a mean reward in [0, 1].
 
     Subclasses implement ``values`` returning the full length-K vector of
     predictions for one context; outputs must already be clamped to [0, 1].
+    ``values_batch`` maps an (n, dim) array of contexts to the (n, K) array of
+    predictions; its default calls ``values`` once per row.
     """
 
     def values(self, x) -> np.ndarray:
         raise NotImplementedError
+
+    def values_batch(self, X) -> np.ndarray:
+        return np.array([self.values(x) for x in X], dtype=float)
 
     def value(self, x, arm: int) -> float:
         return float(self.values(x)[arm])
@@ -28,7 +38,10 @@ class ConstantModel(OutcomeModel):
         self._values = np.clip(np.asarray(values, dtype=float), 0.0, 1.0)
 
     def values(self, x) -> np.ndarray:
-        return self._values
+        return self.values_batch(_one_row(x))[0]
+
+    def values_batch(self, X) -> np.ndarray:
+        return np.broadcast_to(self._values, (len(X), len(self._values)))
 
 
 def zero_model(K: int) -> ConstantModel:
@@ -45,8 +58,15 @@ class LinearPerArmModel(OutcomeModel):
             raise ValueError("one slope row per arm required")
 
     def values(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.clip(self.intercepts + self.slopes @ x, 0.0, 1.0)
+        return self.values_batch(_one_row(x))[0]
+
+    def values_batch(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        # An elementwise product summed over the context axis rounds each row
+        # the same way whatever the number of rows; a BLAS matrix product
+        # does not, so one row would not equal the same row of a batch.
+        products = X[:, None, :] * self.slopes
+        return np.clip(self.intercepts + products.sum(axis=-1), 0.0, 1.0)
 
 
 class TabularModel(OutcomeModel):
@@ -56,7 +76,10 @@ class TabularModel(OutcomeModel):
         self.table = np.clip(np.asarray(table, dtype=float), 0.0, 1.0)
 
     def values(self, x) -> np.ndarray:
-        return self.table[int(x)]
+        return self.values_batch(_one_row(x))[0]
+
+    def values_batch(self, X) -> np.ndarray:
+        return self.table[np.asarray(X)[:, 0].astype(int)]
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .core import LinearPerArmModel, _one_row
+
 
 class BanditEnvironment:
     """Stationary environment: a context distribution, true means, rewards.
@@ -13,6 +15,9 @@ class BanditEnvironment:
     ``sample`` returns (context, mean vector, realized reward vector); the
     algorithm may only look at the chosen arm's reward, but traces record the
     full vector so realized counterfactual regret is well defined.
+    ``sample_batch(rng, n)`` draws n rounds at once as arrays: contexts
+    (n, dim), means (n, K) and rewards (n, K). Its default calls ``sample``
+    once per round, in order, so stateful environments stay correct.
     """
 
     K: int
@@ -21,6 +26,11 @@ class BanditEnvironment:
 
     def sample(self, rng: np.random.Generator):
         raise NotImplementedError
+
+    def sample_batch(self, rng: np.random.Generator, n: int):
+        xs, means, rewards = zip(*(self.sample(rng) for _ in range(n)))
+        X = np.array([np.atleast_1d(x) for x in xs], dtype=float)
+        return X, np.array(means, dtype=float), np.array(rewards, dtype=float)
 
     def true_values(self, x) -> np.ndarray:
         raise NotImplementedError
@@ -44,16 +54,22 @@ class IntroExampleEnv(BanditEnvironment):
     dim = 1
     optimal_value = 0.75
 
+    @staticmethod
+    def _means(X) -> np.ndarray:
+        step = (X[:, 0] > 0.5).astype(float)
+        return np.column_stack([step, np.full(len(X), 0.5)])
+
+    def sample_batch(self, rng, n):
+        X = rng.random((n, 1))
+        means = self._means(X)
+        return X, means, means + rng.standard_normal((n, 2))
+
     def sample(self, rng):
-        x = rng.random()
-        step = 1.0 if x > 0.5 else 0.0
-        means = np.array([step, 0.5])
-        rewards = means + rng.standard_normal(2)
-        return np.array([x]), means, rewards
+        X, means, rewards = self.sample_batch(rng, 1)
+        return X[0], means[0], rewards[0]
 
     def true_values(self, x) -> np.ndarray:
-        v = float(np.atleast_1d(x)[0])
-        return np.array([1.0 if v > 0.5 else 0.0, 0.5])
+        return self._means(_one_row(x))[0]
 
 
 class LowerBoundEnv(BanditEnvironment):
@@ -78,17 +94,23 @@ class LowerBoundEnv(BanditEnvironment):
         """Var_x f*(x, a), identical for every arm; equals B."""
         return self.alpha**2 * (self.K - 1) / self.K**2
 
-    def true_values(self, x) -> np.ndarray:
-        v = float(np.atleast_1d(x)[0])
-        means = np.zeros(self.K)
-        arm = min(max(math.ceil(v) - 1, 0), self.K - 1)
-        means[arm] = self.alpha
+    def _means(self, X) -> np.ndarray:
+        arm = np.clip(np.ceil(X[:, 0]) - 1, 0, self.K - 1).astype(int)
+        means = np.zeros((len(X), self.K))
+        means[np.arange(len(X)), arm] = self.alpha
         return means
 
+    def true_values(self, x) -> np.ndarray:
+        return self._means(_one_row(x))[0]
+
+    def sample_batch(self, rng, n):
+        X = rng.random((n, 1)) * self.K
+        means = self._means(X)
+        return X, means, means.copy()
+
     def sample(self, rng):
-        v = rng.random() * self.K
-        means = self.true_values(v)
-        return np.array([v]), means, means.copy()
+        X, means, rewards = self.sample_batch(rng, 1)
+        return X[0], means[0], rewards[0]
 
 
 class RealizableLinearEnv(BanditEnvironment):
@@ -101,16 +123,21 @@ class RealizableLinearEnv(BanditEnvironment):
         self.slopes = np.atleast_2d(np.asarray(slopes, dtype=float))
         self.K = len(self.intercepts)
         self.dim = self.slopes.shape[1]
+        # the true means are exactly a member of the oracle's model class
+        self._truth = LinearPerArmModel(self.intercepts, self.slopes)
 
     def true_values(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.clip(self.intercepts + self.slopes @ x, 0.0, 1.0)
+        return self._truth.values(x)
+
+    def sample_batch(self, rng, n):
+        X = rng.random((n, self.dim))
+        means = self._truth.values_batch(X)
+        noise = rng.uniform(-0.1, 0.1, (n, self.K))
+        return X, means, np.clip(means + noise, 0.0, 1.0)
 
     def sample(self, rng):
-        x = rng.random(self.dim)
-        means = np.clip(self.intercepts + self.slopes @ x, 0.0, 1.0)
-        rewards = np.clip(means + rng.uniform(-0.1, 0.1, self.K), 0.0, 1.0)
-        return x, means, rewards
+        X, means, rewards = self.sample_batch(rng, 1)
+        return X[0], means[0], rewards[0]
 
 
 def realizable_linear_env(K: int, dim: int, coefficient_seed: int) -> RealizableLinearEnv:
@@ -148,9 +175,12 @@ class TabularEnv(BanditEnvironment):
     def true_values(self, x) -> np.ndarray:
         return self.table[int(x)]
 
-    def sample(self, rng):
-        i = int(np.searchsorted(self._cum, rng.random()))
-        i = min(i, self.n_contexts - 1)
+    def sample_batch(self, rng, n):
+        i = np.minimum(np.searchsorted(self._cum, rng.random(n)), self.n_contexts - 1)
         means = self.table[i]
-        rewards = (rng.random(self.K) < means).astype(float)
-        return i, means, rewards
+        rewards = (rng.random((n, self.K)) < means).astype(float)
+        return i[:, None].astype(float), means, rewards
+
+    def sample(self, rng):
+        X, means, rewards = self.sample_batch(rng, 1)
+        return int(X[0, 0]), means[0], rewards[0]

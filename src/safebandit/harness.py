@@ -152,28 +152,29 @@ def _fmt(v) -> str:
 
 
 def write_trace_csv(path: str, traces):
+    """One row per (run, round), in the csv module's excel dialect: no field
+    can hold a comma or a quote, so none is quoted, and rows end in \\r\\n.
+    Floats are written with ``repr``."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_HEADER)
+        fh.write(",".join(TRACE_HEADER) + "\r\n")
         for run_id, trace in enumerate(traces):
-            realized = trace.realized_regret
-            for i in range(len(trace)):
-                ctx = ";".join(repr(float(c)) for c in trace.contexts[i])
-                w.writerow(
-                    [
-                        run_id,
-                        i + 1,
-                        int(trace.epoch[i]),
-                        ctx,
-                        int(trace.actions[i]),
-                        _fmt(float(trace.rewards[i])),
-                        int(trace.optimal_arms[i]),
-                        _fmt(float(trace.optimal_means[i])),
-                        _fmt(float(realized[i])),
-                        int(trace.safe[i]),
-                        int(trace.m_hat[i]),
-                    ]
-                )
+            contexts = [";".join(map(repr, row)) for row in trace.contexts.tolist()]
+            columns = zip(
+                range(1, len(trace) + 1),
+                trace.epoch.tolist(),
+                contexts,
+                trace.actions.tolist(),
+                trace.rewards.tolist(),
+                trace.optimal_arms.tolist(),
+                trace.optimal_means.tolist(),
+                trace.realized_regret.tolist(),
+                trace.safe.astype(int).tolist(),
+                trace.m_hat.tolist(),
+            )
+            fh.writelines(
+                f"{run_id},{t},{e},{c},{a},{r!r},{o},{om!r},{rr!r},{sf},{mh}\r\n"
+                for t, e, c, a, r, o, om, rr, sf, mh in columns
+            )
 
 
 def _epoch_rows(per_run, aggregate):

@@ -139,14 +139,26 @@ def validate_rate(
     return report
 
 
+@dataclass(frozen=True)
+class Dataset:
+    """One epoch's logged rounds as arrays: contexts (n, dim) as the run
+    trace records them, chosen arms (n,) and their rewards (n,)."""
+
+    contexts: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.actions)
+
+
 class RegressionOracle:
     """Offline regression oracle: deterministic fit of a model in its class."""
 
     rate: EstimationRate
 
-    def fit(self, data) -> OutcomeModel:
-        """Fit on a dataset of (context, arm, reward) triples; each context is
-        the 1-d array the run trace records for its round."""
+    def fit(self, data: Dataset) -> OutcomeModel:
+        """Fit on one epoch's logged rounds."""
         raise NotImplementedError
 
 
@@ -162,14 +174,12 @@ class LinearPerArmOracle(RegressionOracle):
         self.dim = dim
         self.rate = LinearChiSquaredRate()
 
-    def fit(self, data) -> LinearPerArmModel:
+    def fit(self, data: Dataset) -> LinearPerArmModel:
         if len(data) == 0:
             raise ValueError("cannot fit on an empty dataset")
-        xs = np.atleast_2d(
-            np.asarray([np.atleast_1d(x) for x, _, _ in data], dtype=float)
-        )
-        arms = np.asarray([a for _, a, _ in data], dtype=int)
-        rewards = np.asarray([r for _, _, r in data], dtype=float)
+        xs = np.asarray(data.contexts, dtype=float).reshape(len(data), self.dim)
+        arms = np.asarray(data.actions, dtype=int)
+        rewards = np.asarray(data.rewards, dtype=float)
 
         intercepts = np.full(self.K, 0.5)
         slopes = np.zeros((self.K, self.dim))

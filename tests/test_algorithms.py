@@ -1,5 +1,6 @@
 """Unit and integration tests for FALCON+ / Safe-FALCON internals."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,10 +10,13 @@ from safebandit import (
     AlgorithmConfig,
     BanditEnvironment,
     ConstantModel,
+    Dataset,
     EpochSchedule,
     EstimationRate,
+    IntroExampleEnv,
     LinearChiSquaredRate,
     LinearPerArmOracle,
+    RunTrace,
     action_kernel,
     action_probs,
     avg_epoch_check,
@@ -25,6 +29,7 @@ from safebandit import (
     run_falcon_plus,
     run_safe_falcon,
     safety_check_times,
+    zero_model,
 )
 from safebandit import algorithms
 from safebandit.algorithms import EXPLORATION_CONSTANT, FALCON_PLUS_GAMMA_SCALE
@@ -368,3 +373,141 @@ class TestLoopAppliesReferenceTests:
             assert trace.detection_round is None
         elif crash == -50.0:
             assert trace.detection_round is not None
+
+
+def reference_run(env, oracle, cfg, seed, gamma_scale, run_checks):
+    """Plain per-round transcription of the epoch loop. It consumes the same
+    two substreams as the engine: each epoch's ``sample_batch`` rows from
+    Philox(seed) and its action uniforms from the jumped generator, read one
+    round at a time."""
+    bitgen = np.random.Philox(seed)
+    env_rng = np.random.Generator(bitgen)
+    act_rng = np.random.Generator(bitgen.jumped())
+    schedule = EpochSchedule(cfg.tau1)
+    K, T, dp, rate = env.K, cfg.horizon, cfg.delta_prime, oracle.rate
+    models, gammas = {1: zero_model(K)}, {1: 1.0}
+    fallback_model, fallback_gamma = models[1], 1.0
+    l_prev, m_hat, crwd = 0.0, 0, 0.0
+    safe, detection = True, None
+    names = ["epoch", "contexts", "actions", "rewards", "reward_vectors", "optimal_arms",
+             "optimal_means", "expected_regret", "safe", "m_hat"]
+    cols = {name: [] for name in names}
+
+    m = 0
+    while schedule.tau(m) < T:
+        m += 1
+        lo, hi = schedule.tau(m - 1), min(schedule.tau(m), T)
+        X, means, R = env.sample_batch(env_rng, hi - lo)
+        U = act_rng.random(hi - lo)
+        check_set = set()
+        if run_checks and safe and m >= 2:
+            check_set = set(safety_check_times(m, schedule))
+        epoch_sum = 0.0
+        for t in range(lo + 1, hi + 1):
+            x, mu, rewards, u = X[t - lo - 1], means[t - lo - 1], R[t - lo - 1], U[t - lo - 1]
+            if safe:
+                p = action_probs(models[m].values(x), gammas[m])
+            else:
+                p = action_probs(fallback_model.values(x), fallback_gamma)
+            a = min(int(np.searchsorted(np.cumsum(p), u)), K - 1)
+            r = float(rewards[a])
+            opt = int(np.argmax(mu))
+            for name, value in zip(names, (m, x, a, r, rewards, opt, mu[opt],
+                                           mu[opt] - (p * mu).sum())):
+                cols[name].append(value)
+            if safe and run_checks:
+                crwd += r
+                epoch_sum += r
+                if t in check_set:
+                    ok = check_is_safe(m, t, l_prev, crwd, schedule, rate, dp, K)
+                    if ok and cfg.enable_avg_epoch_test:
+                        ok = avg_epoch_check(
+                            t, m, l_prev, epoch_sum / (t - lo), schedule, rate, dp, K
+                        )
+                    if not ok:
+                        safe, detection = False, t
+                        if m_hat >= 1:
+                            fallback_model, fallback_gamma = models[m_hat], gammas[m_hat]
+            cols["safe"].append(safe)
+            cols["m_hat"].append(m_hat)
+        if safe and hi == schedule.tau(m):
+            l_prev, m_hat = choose_safe(m, cols["rewards"][lo:], l_prev, m_hat, dp)
+            cols["m_hat"][-1] = m_hat
+            if hi < T:
+                data = Dataset(np.array(cols["contexts"][lo:]), np.array(cols["actions"][lo:]),
+                               np.array(cols["rewards"][lo:]))
+                models[m + 1] = oracle.fit(data)
+                gammas[m + 1] = gamma_scale * gamma_m(m + 1, schedule, rate, dp, K)
+    return RunTrace(**{name: np.array(cols[name]) for name in names},
+                    detection_round=detection, m_hat_final=m_hat)
+
+
+def _collapse(collapse_at, crash):
+    return lambda: CollapseEnv(collapse_at, crash)
+
+
+class LowPayCollapseEnv(CollapseEnv):
+    """CollapseEnv paying around (0.4, 0.1) before the collapse."""
+
+    def true_values(self, x):
+        return np.array([0.4, 0.1])
+
+
+def _intro():
+    return IntroExampleEnv()
+
+
+def _realizable_k3_dim2():
+    return realizable_linear_env(3, dim=2, coefficient_seed=4)
+
+
+# (id, env factory, tau1, T, avg test, Safe-FALCON?, expected detection round)
+REFERENCE_CASES = [
+    *[
+        (f"collapse{crash:g}-avg{int(avg)}-seed{seed}", _collapse(128, crash), 64, 4096,
+         avg, True, "any")
+        for crash in (-50.0, -5.0) for avg in (False, True) for seed in (0, 1)
+    ],
+    # round 128 closes epoch 2 and is the only crashed round
+    ("detect-at-epoch-end", _collapse(127, -1e6), 64, 1024, False, True, 128),
+    # with tau1 = 8, l'_1 <= 0 on rewards near (0.4, 0.1), so m_hat is still 0
+    # at the first check of epoch 2; the fit of epoch 1 is not flat, so playing
+    # it instead of the uniform kernel would show
+    ("detect-with-m-hat-0", lambda: LowPayCollapseEnv(8, -50.0), 8, 1024, True, True, 9),
+    ("horizon-mid-epoch", _collapse(128, -50.0), 8, 1000, True, True, "any"),
+    ("horizon-mid-epoch-intro", _intro, 8, 1000, True, True, "any"),
+    ("horizon-below-tau1", _intro, 8, 5, True, True, None),
+    ("realizable-k3-dim2", _realizable_k3_dim2, 8, 2048, True, True, None),
+    ("falcon-plus-intro", _intro, 2, 2048, False, False, None),
+    ("falcon-plus-collapse", _collapse(128, -50.0), 64, 2048, False, False, None),
+]
+
+
+class TestEngineMatchesPerRoundReference:
+    @pytest.mark.parametrize(
+        "make_env,tau1,T,avg_test,safe_falcon,expected",
+        [case[1:] for case in REFERENCE_CASES],
+        ids=[case[0] for case in REFERENCE_CASES],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_traces_equal(self, make_env, tau1, T, avg_test, safe_falcon, expected, seed):
+        cfg = AlgorithmConfig(tau1=tau1, delta=0.05, horizon=T, enable_avg_epoch_test=avg_test)
+        env = make_env()
+        oracle = LinearPerArmOracle(env.K, env.dim)
+        if safe_falcon:
+            engine = run_safe_falcon(env, oracle, cfg, seed)
+        else:
+            engine = run_falcon_plus(env, oracle, cfg, seed)
+        scale = 1.0 if safe_falcon else FALCON_PLUS_GAMMA_SCALE
+        reference = reference_run(make_env(), oracle, cfg, seed, scale, safe_falcon)
+        for field in dataclasses.fields(RunTrace):
+            a, b = getattr(engine, field.name), getattr(reference, field.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+            else:
+                assert a == b, field.name
+        assert len(engine) == T
+        if expected != "any":
+            assert engine.detection_round == expected
+        if expected == 9:
+            assert engine.m_hat_final == 0

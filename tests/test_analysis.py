@@ -149,6 +149,13 @@ class TestLowerBoundInstance:
         with pytest.raises(ValueError):
             lower_bound_instance_regret(2, 0.01, [0.7, 0.7])
 
+    def test_bound_check_raises(self):
+        # K = 2 and B = 1/(2K) put the regret exactly on the bound sqrt(KB/2);
+        # a g short of summing to 1 by 1e-10 passes the distribution check
+        # but falls below the bound, which must raise even under python -O
+        with pytest.raises(ValueError, match="below the bound"):
+            lower_bound_instance_regret(2, 0.25, [0.5, 0.5 - 1e-10])
+
     def test_bruteforce_matches_analytic(self):
         for K in (2, 3, 5):
             for B in (0.01, 0.03, 1.0 / (2 * K)):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safebandit import (
     ConstantModel,
@@ -102,3 +104,30 @@ class TestRunTrace:
         )
         assert len(trace) == 3
         np.testing.assert_allclose(trace.realized_regret, [0.5, 0.0, 0.5])
+
+
+def _built_in_model(kind, rng, K, dim):
+    if kind == "constant":
+        return ConstantModel(rng.uniform(-0.5, 1.5, K))
+    if kind == "linear":
+        return LinearPerArmModel(rng.uniform(-1, 2, K), rng.uniform(-3, 3, (K, dim)))
+    return TabularModel(rng.uniform(-0.5, 1.5, (6, K)))
+
+
+@pytest.mark.parametrize("kind", ["constant", "linear", "tabular"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), K=st.integers(1, 6), dim=st.integers(1, 3),
+       n=st.integers(1, 64))
+def test_batch_rows_equal_one_row_values(kind, seed, K, dim, n):
+    rng = np.random.Generator(np.random.Philox(seed))
+    model = _built_in_model(kind, rng, K, dim)
+    if kind == "tabular":
+        X = rng.integers(0, 6, (n, 1)).astype(float)
+    else:
+        X = rng.uniform(-5, 5, (n, dim)) * rng.choice([1e-3, 1.0, 1e3], (n, dim))
+    batch = model.values_batch(X)
+    assert batch.shape == (n, K)
+    for i in range(n):
+        one = model.values(X[i, 0] if kind == "tabular" else X[i])
+        assert one.shape == (K,)
+        np.testing.assert_array_equal(batch[i], one)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safebandit import (
     IntroExampleEnv,
@@ -134,3 +136,25 @@ class TestTabularEnv:
             sums[i] += rewards
         np.testing.assert_allclose(counts / n, [0.3, 0.7], atol=0.02)
         np.testing.assert_allclose(sums / counts[:, None], env.table, atol=0.02)
+
+
+BUILT_IN_ENVIRONMENTS = [
+    IntroExampleEnv(),
+    LowerBoundEnv(3, 0.05),
+    realizable_linear_env(3, dim=2, coefficient_seed=4),
+    TabularEnv([[0.2, 0.8, 0.5], [0.6, 0.4, 0.1]], context_probs=[0.3, 0.7]),
+]
+
+
+@pytest.mark.parametrize("env", BUILT_IN_ENVIRONMENTS, ids=lambda e: type(e).__name__)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), n=st.integers(1, 40))
+def test_one_row_equals_first_batch_row(env, seed, n):
+    x, means, rewards = env.sample(_rng(seed))
+    X, batch_means, batch_rewards = env.sample_batch(_rng(seed), 1)
+    np.testing.assert_array_equal(np.atleast_1d(x), X[0])
+    np.testing.assert_array_equal(means, batch_means[0])
+    np.testing.assert_array_equal(rewards, batch_rewards[0])
+    X, batch_means, batch_rewards = env.sample_batch(_rng(seed), n)
+    assert X.shape == (n, env.dim)
+    assert batch_means.shape == batch_rewards.shape == (n, env.K)

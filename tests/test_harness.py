@@ -7,6 +7,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from safebandit import (
+    AlgorithmConfig,
+    BanditEnvironment,
+    IntroExampleEnv,
+    LinearPerArmOracle,
+    LowerBoundEnv,
+    realizable_linear_env,
+    run_falcon_plus,
+    run_safe_falcon,
+)
 from safebandit.cli import main
 from safebandit.harness import (
     ConfigError,
@@ -19,6 +29,7 @@ from safebandit.harness import (
     load_config_file,
     run_experiment,
     run_replications,
+    write_trace_csv,
 )
 
 
@@ -145,6 +156,64 @@ class TestRunExperiment:
         traces = run_replications(cfg)
         assert all(t.safe.all() for t in traces)  # realizable: no flips
         assert all(first_flip_epoch(t) is None for t in traces)
+
+
+def reference_write_trace_csv(path, traces):
+    """The trace writer as a plain csv.writer loop, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(TRACE_HEADER)
+        for run_id, trace in enumerate(traces):
+            realized = trace.realized_regret
+            for i in range(len(trace)):
+                ctx = ";".join(repr(float(c)) for c in trace.contexts[i])
+                w.writerow(
+                    [
+                        run_id,
+                        i + 1,
+                        int(trace.epoch[i]),
+                        ctx,
+                        int(trace.actions[i]),
+                        repr(float(trace.rewards[i])),
+                        int(trace.optimal_arms[i]),
+                        repr(float(trace.optimal_means[i])),
+                        repr(float(realized[i])),
+                        int(trace.safe[i]),
+                        int(trace.m_hat[i]),
+                    ]
+                )
+
+
+class DropEnv(BanditEnvironment):
+    """The intro example with every reward lowered by 50 after round 300."""
+
+    K, dim = 2, 1
+
+    def __init__(self):
+        self.inner = IntroExampleEnv()
+        self.t = 0
+
+    def sample(self, rng):
+        self.t += 1
+        x, means, rewards = self.inner.sample(rng)
+        return x, means, rewards - (50.0 if self.t > 300 else 0.0)
+
+
+class TestTraceWriter:
+    def test_bytes_equal_the_csv_module_reference(self, tmp_path):
+        cfg = AlgorithmConfig(tau1=8, delta=0.05, horizon=1000, enable_avg_epoch_test=True)
+        drop = run_safe_falcon(DropEnv(), LinearPerArmOracle(2, 1), cfg, seed=3)
+        wide = realizable_linear_env(3, dim=2, coefficient_seed=4)
+        traces = [
+            drop,
+            run_safe_falcon(wide, LinearPerArmOracle(3, 2), cfg, seed=4),
+            run_falcon_plus(LowerBoundEnv(3, 0.05), LinearPerArmOracle(3, 1), cfg, seed=5),
+        ]
+        assert drop.detection_round is not None and 300 < drop.detection_round < 1000
+        assert (drop.rewards < 0).any() and traces[1].contexts.shape[1] == 2
+        write_trace_csv(str(tmp_path / "bulk.csv"), traces)
+        reference_write_trace_csv(str(tmp_path / "reference.csv"), traces)
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestCompare:

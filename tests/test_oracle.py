@@ -7,6 +7,7 @@ import pytest
 
 from safebandit import (
     CommonRate,
+    Dataset,
     LinearChiSquaredRate,
     LinearPerArmOracle,
     validate_rate,
@@ -86,6 +87,12 @@ class TestValidateRate:
             validate_rate(LinearChiSquaredRate(), 0.05, 3)
 
 
+def dataset(rows):
+    """Dataset of (context, arm, reward) rows."""
+    xs, arms, rewards = zip(*rows)
+    return Dataset(np.array(xs, dtype=float), np.array(arms), np.array(rewards, dtype=float))
+
+
 class TestLinearPerArmOracle:
     def test_recovers_exact_linear_data(self):
         rng = np.random.Generator(np.random.Philox(7))
@@ -96,7 +103,7 @@ class TestLinearPerArmOracle:
             x = rng.random()
             a = int(rng.integers(2))
             data.append((np.array([x]), a, intercepts[a] + slopes[a] * x))
-        model = LinearPerArmOracle(K=2, dim=1).fit(data)
+        model = LinearPerArmOracle(K=2, dim=1).fit(dataset(data))
         np.testing.assert_allclose(model.intercepts, intercepts, atol=1e-9)
         np.testing.assert_allclose(model.slopes[:, 0], slopes, atol=1e-9)
 
@@ -105,7 +112,7 @@ class TestLinearPerArmOracle:
         rng = np.random.Generator(np.random.Philox(11))
         xs = rng.random(40)
         ys = 0.2 + 0.5 * xs + rng.normal(0, 0.05, 40)
-        data = [(np.array([x]), 0, y) for x, y in zip(xs, ys)]
+        data = Dataset(xs[:, None], np.zeros(40, dtype=int), ys)
         model = LinearPerArmOracle(K=1, dim=1).fit(data)
         X = np.column_stack([np.ones(40), xs])
         beta = np.linalg.solve(X.T @ X, X.T @ ys)
@@ -113,31 +120,31 @@ class TestLinearPerArmOracle:
         assert model.slopes[0, 0] == pytest.approx(beta[1], abs=1e-10)
 
     def test_unseen_arm_defaults_to_half(self):
-        data = [(np.array([0.1]), 0, 0.4), (np.array([0.9]), 0, 0.8)]
+        data = dataset([(np.array([0.1]), 0, 0.4), (np.array([0.9]), 0, 0.8)])
         model = LinearPerArmOracle(K=2, dim=1).fit(data)
         assert model.values(0.3)[1] == pytest.approx(0.5)
 
     def test_degenerate_design_falls_back_to_mean(self):
         # all contexts identical: rank-deficient design, use the mean
-        data = [(np.array([0.4]), 0, 0.2), (np.array([0.4]), 0, 0.6)]
+        data = dataset([(np.array([0.4]), 0, 0.2), (np.array([0.4]), 0, 0.6)])
         model = LinearPerArmOracle(K=1, dim=1).fit(data)
         assert model.intercepts[0] == pytest.approx(0.4)
         assert model.slopes[0, 0] == 0.0
 
     def test_single_sample_uses_mean(self):
-        model = LinearPerArmOracle(K=1, dim=1).fit([(np.array([0.3]), 0, 0.7)])
+        model = LinearPerArmOracle(K=1, dim=1).fit(dataset([(np.array([0.3]), 0, 0.7)]))
         assert model.intercepts[0] == pytest.approx(0.7)
 
     def test_empty_dataset_raises(self):
         with pytest.raises(ValueError):
-            LinearPerArmOracle(K=2, dim=1).fit([])
+            LinearPerArmOracle(K=2, dim=1).fit(Dataset(np.zeros((0, 1)), np.zeros(0, dtype=int), np.zeros(0)))
 
     def test_deterministic(self):
         rng = np.random.Generator(np.random.Philox(3))
-        data = [
+        data = dataset([
             (np.array([rng.random()]), int(rng.integers(2)), rng.random())
             for _ in range(30)
-        ]
+        ])
         a = LinearPerArmOracle(K=2, dim=1).fit(data)
         b = LinearPerArmOracle(K=2, dim=1).fit(data)
         np.testing.assert_array_equal(a.intercepts, b.intercepts)
