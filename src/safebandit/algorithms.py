@@ -41,27 +41,62 @@ class AlgorithmConfig:
         return self.delta / 13.0
 
 
+def _first_max(rows):
+    """Elementwise max over the first (arm) axis and the index of the first
+    arm reaching it, the arm ``np.argmax`` picks. Each step is one op over
+    the rounds, with no branch per element. A max of zero may carry either
+    sign when arms tie at +0.0 and -0.0."""
+    best = np.zeros(rows.shape[1:], dtype=np.intp)
+    top = rows[0]
+    for k in range(1, len(rows)):
+        # arms come in increasing order, so a strictly better arm carries
+        # the largest index so far
+        np.maximum(best, k * (rows[k] > top), out=best)
+        top = np.maximum(top, rows[k])
+    return best, top
+
+
 def action_probs(values: np.ndarray, gamma: float) -> np.ndarray:
     """Inverse-gap-weighted distribution over arms, along the last axis: one
     context's length-K values give one distribution, an (n, K) array n rows.
 
     Non-best arms get 1 / (K + gamma * gap); the best arm absorbs the rest.
+    The work runs on an arm-major (K, n) array, and sums over arms are taken
+    in arm order, so one row equals the same row of a batch.
     """
     values = np.asarray(values, dtype=float)
     K = values.shape[-1]
-    best = np.argmax(values, axis=-1)[..., None]
-    p = 1.0 / (K + gamma * (np.take_along_axis(values, best, axis=-1) - values))
-    np.put_along_axis(p, best, 0.0, axis=-1)
-    np.put_along_axis(p, best, 1.0 - p.sum(axis=-1, keepdims=True), axis=-1)
-    return p
+    V = np.ascontiguousarray(np.moveaxis(values, -1, 0)).reshape(K, -1)
+    best, top = _first_max(V)
+    # 1 / (K + gamma * gap), in place: a fresh (K, n) array per step costs
+    # more than the arithmetic
+    p = np.subtract(top, V)
+    p *= gamma
+    p += K
+    np.divide(1.0, p, out=p)
+    # Zero the best arm, then give it the rest. Every p is positive and
+    # finite, so multiplying by a mask is exact, and unlike a masked
+    # assignment it takes no branch per element.
+    is_best = best == np.arange(K)[:, None]
+    p *= ~is_best
+    rest = np.zeros(V.shape[1])
+    for row in p:
+        rest += row
+    p += is_best * (1.0 - rest)
+    return np.moveaxis(p.reshape((K,) + values.shape[:-1]), 0, -1)
 
 
 def _draw_arms(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw of one arm per row of ``p``: the first arm whose
     cumulative probability reaches the row's uniform, or the last arm when
-    rounding leaves the cumulative sum short of it."""
-    below = np.cumsum(p, axis=-1) < np.asarray(u)[..., None]
-    return np.minimum(below.sum(axis=-1), p.shape[-1] - 1)
+    rounding leaves the cumulative sum short of it. The K - 1 comparisons
+    run on a running column sum."""
+    arms = np.zeros(p.shape[:-1], dtype=np.intp)
+    cum = np.zeros(p.shape[:-1])
+    for k in range(p.shape[-1] - 1):
+        cum += p[..., k]
+        arms += cum < u
+    return arms
 
 
 def action_kernel(f: OutcomeModel, gamma: float, x) -> np.ndarray:
@@ -70,12 +105,12 @@ def action_kernel(f: OutcomeModel, gamma: float, x) -> np.ndarray:
     return action_probs(f.values(x), gamma)
 
 
-def _xi_epoch(
-    m: int, schedule: EpochSchedule, rate: EstimationRate, delta_prime: float
-) -> float:
-    """Estimation rate used in epoch m: xi at the previous epoch's size and
-    confidence delta' / m^2."""
-    return float(rate.xi(schedule.epoch_size(m - 1), delta_prime / m**2))
+def _xi_epoch(m, schedule: EpochSchedule, rate: EstimationRate, delta_prime: float):
+    """Estimation rate used in epoch m >= 2 (an int, or an int array of
+    epochs): xi at the previous epoch's size and confidence delta' / m^2."""
+    # epoch_size(m - 1): epochs 1 and 2 hold tau_1 rounds, then sizes double
+    n_prev = schedule.tau1 << (m - 3 + (m == 2))
+    return rate.xi(n_prev, delta_prime / m**2)
 
 
 def gamma_m(
@@ -91,7 +126,7 @@ def gamma_m(
         raise ValueError("epoch index must be >= 1")
     if m == 1:
         return 1.0
-    return math.sqrt(K / (8.0 * _xi_epoch(m, schedule, rate, delta_prime)))
+    return math.sqrt(K / (8.0 * float(_xi_epoch(m, schedule, rate, delta_prime))))
 
 
 def l_prime(m: int, rewards, delta_prime: float) -> float:
@@ -131,12 +166,6 @@ def _log_term(m: int, tau1: int, delta_prime: float) -> float:
     return math.log(math.ceil(m + math.log2(tau1)) ** 3 / delta_prime)
 
 
-def _sqrt_xi_epoch(
-    e: int, schedule: EpochSchedule, rate: EstimationRate, delta_prime: float
-) -> float:
-    return math.sqrt(_xi_epoch(e, schedule, rate, delta_prime))
-
-
 def lower_bound_L(
     t: int,
     m: int,
@@ -154,12 +183,14 @@ def lower_bound_L(
     if m < 2:
         raise ValueError("L_t is only defined from epoch 2 onward")
     tau1 = schedule.tau1
+    epochs = range(2, m + 1)
+    sqrt_xi = np.sqrt(_xi_epoch(np.array(epochs), schedule, rate, delta_prime))
     total = 0.0
-    for e in range(2, m + 1):
-        count = min(schedule.tau(e), t) - schedule.tau(e - 1)
-        if count <= 0:
-            continue
-        total += count * _sqrt_xi_epoch(e, schedule, rate, delta_prime)
+    # one term per epoch, summed in epoch order
+    for e, value in zip(epochs, sqrt_xi.tolist()):
+        count = min(tau1 << (e - 1), t) - (tau1 << (e - 2))  # tau_e, tau_{e-1}
+        if count > 0:
+            total += count * value
     return (
         t * l_prev
         - tau1
@@ -201,7 +232,7 @@ def avg_epoch_check(
         l_prev
         - EXPLORATION_CONSTANT
         * math.sqrt(K)
-        * _sqrt_xi_epoch(m, schedule, rate, delta_prime)
+        * math.sqrt(float(_xi_epoch(m, schedule, rate, delta_prime)))
         - math.sqrt(2.0 / n_in_epoch * _log_term(m, schedule.tau1, delta_prime))
     )
     return epoch_rewards_mean >= threshold
@@ -240,15 +271,15 @@ def _run_epoch_loop(
     m_hat = 0
     crwd = 0.0
     detection_round = None
-    blocks = []
+    trace = RunTrace.empty(T, env.dim, K)
 
     m = 0
     while schedule.tau(m) < T:
         m += 1
         lo, hi = schedule.tau(m - 1), min(schedule.tau(m), T)
         n = hi - lo
-        rows = np.arange(n)
         X, means, R = env.sample_batch(env_rng, n)
+        first_of_row = np.arange(0, n * K, K)  # flat index of (row, arm 0)
         U = act_rng.random(n)
         safe = detection_round is None
         if safe:
@@ -256,8 +287,8 @@ def _run_epoch_loop(
         # after a detection, model and gamma stay the fallback's
         P = action_probs(model.values_batch(X), gamma)
         A = _draw_arms(P, U)
-        r = R[rows, A]
-        safe_col = np.full(n, safe)
+        r = R.ravel()[first_of_row + A]
+        trace.safe[lo:hi] = safe
 
         if safe and run_checks:
             # seeded with the carried total, so every entry equals the
@@ -277,39 +308,43 @@ def _run_epoch_loop(
                     )
                 if not ok:
                     detection_round = t
-                    safe_col[i:] = False
+                    trace.safe[t - 1 : hi] = False
                     # m_hat == 0 can only happen when every l'_m so far was
                     # <= 0; fall back to the uniform epoch-1 kernel then.
                     model, gamma = policies[max(m_hat, 1)]
                     rest = slice(i + 1, n)
                     P[rest] = action_probs(model.values_batch(X[rest]), gamma)
                     A[rest] = _draw_arms(P[rest], U[rest])
-                    r = R[rows, A]
+                    r = R.ravel()[first_of_row + A]
                     break
 
-        m_hat_col = np.full(n, m_hat)
+        trace.m_hat[lo:hi] = m_hat
         if detection_round is None and hi == schedule.tau(m):
             l_prev, m_hat = choose_safe(m, r, l_prev, m_hat, dp)
-            m_hat_col[-1] = m_hat
+            trace.m_hat[hi - 1] = m_hat
             if hi < T:
                 policies[m + 1] = (
                     oracle.fit(Dataset(X, A, r)),
                     gamma_scale * gamma_m(m + 1, schedule, rate, dp, K),
                 )
 
-        opt = np.argmax(means, axis=1)
-        opt_mean = means[rows, opt]
-        expected_regret = opt_mean - (P * means).sum(axis=1)
-        # in RunTrace field order
-        blocks.append(
-            (np.full(n, m), X, A, r, R, opt, opt_mean, expected_regret, safe_col, m_hat_col)
-        )
+        # expected regret, one arm column at a time, summed in arm order
+        opt, opt_mean = _first_max(means.T)
+        played_mean = np.zeros(n)
+        for k in range(K):
+            played_mean += P[:, k] * means[:, k]
+        trace.epoch[lo:hi] = m
+        trace.contexts[lo:hi] = X
+        trace.actions[lo:hi] = A
+        trace.rewards[lo:hi] = r
+        trace.reward_vectors[lo:hi] = R
+        trace.optimal_arms[lo:hi] = opt
+        trace.optimal_means[lo:hi] = opt_mean
+        trace.expected_regret[lo:hi] = opt_mean - played_mean
 
-    return RunTrace(
-        *(np.concatenate(column) for column in zip(*blocks)),
-        detection_round=detection_round,
-        m_hat_final=m_hat,
-    )
+    trace.detection_round = detection_round
+    trace.m_hat_final = m_hat
+    return trace
 
 
 def run_safe_falcon(

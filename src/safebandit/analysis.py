@@ -189,24 +189,23 @@ class EpochSummary:
 
 
 def epoch_summaries(trace) -> list[EpochSummary]:
-    """Per-epoch averages of realized and expected regret for one run."""
+    """Per-epoch averages of realized and expected regret for one run. The
+    epoch column is sorted, so each epoch is one contiguous slice."""
     realized = trace.realized_regret
-    out = []
-    for m in np.unique(trace.epoch):
-        mask = trace.epoch == m
-        count = int(mask.sum())
-        first = int(np.nonzero(mask)[0][0]) + 1
-        out.append(
-            EpochSummary(
-                epoch=int(m),
-                first_round=first,
-                last_round=first + count - 1,
-                count=count,
-                mean_realized_regret=float(realized[mask].mean()),
-                mean_expected_regret=float(trace.expected_regret[mask].mean()),
-            )
+    epochs = trace.epoch
+    bounds = [0, *(np.flatnonzero(np.diff(epochs)) + 1).tolist(), len(epochs)]
+    return [
+        EpochSummary(
+            epoch=int(epochs[lo]),
+            first_round=lo + 1,
+            last_round=hi,
+            count=hi - lo,
+            mean_realized_regret=float(realized[lo:hi].mean()),
+            mean_expected_regret=float(trace.expected_regret[lo:hi].mean()),
         )
-    return out
+        for lo, hi in zip(bounds, bounds[1:])
+        if hi > lo
+    ]
 
 
 def aggregate_runs(per_run_summaries: list[list[EpochSummary]]):

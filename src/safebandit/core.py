@@ -62,11 +62,13 @@ class LinearPerArmModel(OutcomeModel):
 
     def values_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        # An elementwise product summed over the context axis rounds each row
-        # the same way whatever the number of rows; a BLAS matrix product
-        # does not, so one row would not equal the same row of a batch.
-        products = X[:, None, :] * self.slopes
-        return np.clip(self.intercepts + products.sum(axis=-1), 0.0, 1.0)
+        # Arm-major (K, n), summed over the context dims in order from +0.0:
+        # each row is rounded the same way whatever the number of rows (a
+        # BLAS product is not), and every op runs along the n rounds.
+        total = np.zeros((len(self.intercepts), len(X)))
+        for d in range(X.shape[1]):
+            total += self.slopes[:, d, None] * X[:, d]
+        return np.clip(self.intercepts[:, None] + total, 0.0, 1.0).T
 
 
 class TabularModel(OutcomeModel):
@@ -144,6 +146,22 @@ class RunTrace:
     m_hat: np.ndarray
     detection_round: int | None = None
     m_hat_final: int = 0
+
+    @classmethod
+    def empty(cls, T: int, dim: int, K: int) -> "RunTrace":
+        """Uninitialized columns for T rounds, filled in place by the loop."""
+        return cls(
+            epoch=np.empty(T, dtype=int),
+            contexts=np.empty((T, dim)),
+            actions=np.empty(T, dtype=np.intp),
+            rewards=np.empty(T),
+            reward_vectors=np.empty((T, K)),
+            optimal_arms=np.empty(T, dtype=np.intp),
+            optimal_means=np.empty(T),
+            expected_regret=np.empty(T),
+            safe=np.empty(T, dtype=bool),
+            m_hat=np.empty(T, dtype=int),
+        )
 
     def __len__(self) -> int:
         return len(self.actions)

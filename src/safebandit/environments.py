@@ -142,6 +142,8 @@ class RealizableLinearEnv(BanditEnvironment):
 
 def realizable_linear_env(K: int, dim: int, coefficient_seed: int) -> RealizableLinearEnv:
     """Draw a realizable environment with means guaranteed inside [0.1, 0.9]."""
+    if K < 2:
+        raise ValueError("K must be >= 2")
     rng = np.random.Generator(np.random.Philox(coefficient_seed))
     intercepts = rng.uniform(0.35, 0.65, K)
     raw = rng.uniform(-1.0, 1.0, (K, dim))

@@ -122,13 +122,15 @@ def apply_key(cfg: ExperimentConfig, key: str, value: str) -> ExperimentConfig:
 def build_environment(cfg: ExperimentConfig):
     if cfg.env == "intro-example":
         return IntroExampleEnv()
-    if cfg.env == "lower-bound":
-        try:
+    try:
+        if cfg.env == "lower-bound":
             return LowerBoundEnv(cfg.env_k, cfg.env_b)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-    if cfg.env == "realizable-linear":
-        return realizable_linear_env(cfg.env_k, dim=1, coefficient_seed=_REALIZABLE_COEF_SEED)
+        if cfg.env == "realizable-linear":
+            return realizable_linear_env(
+                cfg.env_k, dim=1, coefficient_seed=_REALIZABLE_COEF_SEED
+            )
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     raise ConfigError(f"unknown environment {cfg.env!r}")
 
 

@@ -412,8 +412,12 @@ def reference_run(env, oracle, cfg, seed, gamma_scale, run_checks):
             a = min(int(np.searchsorted(np.cumsum(p), u)), K - 1)
             r = float(rewards[a])
             opt = int(np.argmax(mu))
+            # the engine sums over arms in arm order from +0.0
+            played = 0.0
+            for pk, mk in zip(p, mu):
+                played += pk * mk
             for name, value in zip(names, (m, x, a, r, rewards, opt, mu[opt],
-                                           mu[opt] - (p * mu).sum())):
+                                           mu[opt] - played)):
                 cols[name].append(value)
             if safe and run_checks:
                 crwd += r
@@ -461,6 +465,10 @@ def _realizable_k3_dim2():
     return realizable_linear_env(3, dim=2, coefficient_seed=4)
 
 
+def _realizable_k9_dim9():
+    return realizable_linear_env(9, dim=9, coefficient_seed=4)
+
+
 # (id, env factory, tau1, T, avg test, Safe-FALCON?, expected detection round)
 REFERENCE_CASES = [
     *[
@@ -478,6 +486,8 @@ REFERENCE_CASES = [
     ("horizon-mid-epoch-intro", _intro, 8, 1000, True, True, "any"),
     ("horizon-below-tau1", _intro, 8, 5, True, True, None),
     ("realizable-k3-dim2", _realizable_k3_dim2, 8, 2048, True, True, None),
+    # 8 or more arms or context dims: numpy would sum such a row pairwise
+    ("realizable-k9-dim9", _realizable_k9_dim9, 8, 2048, True, True, None),
     ("falcon-plus-intro", _intro, 2, 2048, False, False, None),
     ("falcon-plus-collapse", _collapse(128, -50.0), 64, 2048, False, False, None),
 ]

@@ -7,6 +7,7 @@ import pytest
 
 from safebandit import (
     AlgorithmConfig,
+    BanditEnvironment,
     EpochSchedule,
     LinearChiSquaredRate,
     LinearPerArmOracle,
@@ -14,6 +15,7 @@ from safebandit import (
     TabularModel,
     realizable_linear_env,
     run_falcon_plus,
+    run_safe_falcon,
 )
 from safebandit.analysis import (
     EpochSummary,
@@ -194,7 +196,43 @@ class TestMStar:
             m_star(-0.1, s, RATE, 0.05 / 13)
 
 
+def mask_epoch_summaries(trace):
+    """Reference: one full-length mask per epoch."""
+    realized = trace.realized_regret
+    out = []
+    for m in np.unique(trace.epoch):
+        mask = trace.epoch == m
+        count = int(mask.sum())
+        first = int(np.nonzero(mask)[0][0]) + 1
+        out.append(EpochSummary(int(m), first, first + count - 1, count,
+                                float(realized[mask].mean()),
+                                float(trace.expected_regret[mask].mean())))
+    return out
+
+
+class DropEnv(BanditEnvironment):
+    """A realizable environment whose rewards drop by 50 after round 300."""
+
+    def __init__(self):
+        self.inner = realizable_linear_env(3, dim=1, coefficient_seed=3)
+        self.K, self.dim, self.t = 3, 1, 0
+
+    def sample(self, rng):
+        self.t += 1
+        x, means, rewards = self.inner.sample(rng)
+        return x, means, rewards - 50.0 * (self.t > 300)
+
+
 class TestEpochSummaries:
+    def test_slices_equal_masks(self):
+        cfg = AlgorithmConfig(tau1=8, delta=0.05, horizon=3000, enable_avg_epoch_test=True)
+        trace = run_safe_falcon(DropEnv(), LinearPerArmOracle(3, 1), cfg, seed=0)
+        d = trace.detection_round
+        # the detection falls inside an epoch, which is cut there and ends
+        # at the horizon, not at an epoch boundary
+        assert d is not None and trace.epoch[d - 1] == trace.epoch[d]
+        assert epoch_summaries(trace) == mask_epoch_summaries(trace)
+
     def test_counts_and_bounds(self):
         env = realizable_linear_env(2, dim=1, coefficient_seed=3)
         cfg = AlgorithmConfig(tau1=4, delta=0.05, horizon=100)

@@ -107,6 +107,11 @@ class TestRealizableLinearEnv:
                 vals = env.true_values(x)
                 assert np.all(vals >= 0.1 - 1e-12) and np.all(vals <= 0.9 + 1e-12)
 
+    def test_rejects_fewer_than_two_arms(self):
+        for K in (1, 0, -3):
+            with pytest.raises(ValueError):
+                realizable_linear_env(K, dim=1, coefficient_seed=0)
+
     def test_coefficient_seed_determinism(self):
         a = realizable_linear_env(2, dim=1, coefficient_seed=9)
         b = realizable_linear_env(2, dim=1, coefficient_seed=9)

@@ -302,6 +302,11 @@ class TestCli:
         assert main(["run", "--T", "not-a-number"]) == 2
         assert main(["compare", "--a-algorithm", "safe-falcon", "--b-algorithm", "safe-falcon",
                      "--out", str(tmp_path)]) == 2
+        for k in ("0", "-3", "1"):
+            config = tmp_path / f"realizable-k{k}.cfg"
+            config.write_text(f"env = realizable-linear\nenv.K = {k}\nT = 16\n"
+                              f"out = {tmp_path / 'out'}\n")
+            assert main(["run", "--config", str(config)]) == 2
 
     def test_lowerbound_check(self, capsys):
         assert main(["lowerbound-check", "--K", "3", "--B", "0.05"]) == 0
