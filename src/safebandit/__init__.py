@@ -3,7 +3,6 @@ misspecification-safe fallback policy."""
 
 from .algorithms import (
     AlgorithmConfig,
-    action_kernel,
     action_probs,
     avg_epoch_check,
     check_is_safe,
@@ -22,8 +21,6 @@ from .core import (
     OutcomeModel,
     RunTrace,
     TabularModel,
-    epoch_of,
-    greedy_policy,
     zero_model,
 )
 from .environments import (
@@ -33,7 +30,6 @@ from .environments import (
     RealizableLinearEnv,
     TabularEnv,
     realizable_linear_env,
-    sample_round,
 )
 from .oracle import (
     CommonRate,
@@ -43,7 +39,6 @@ from .oracle import (
     LinearPerArmOracle,
     RegressionOracle,
     validate_rate,
-    xi,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EpochSchedule, OutcomeModel, RunTrace, zero_model
+from .core import EpochSchedule, RunTrace, zero_model
 from .environments import BanditEnvironment
 from .oracle import Dataset, EstimationRate, RegressionOracle
 
@@ -97,12 +97,6 @@ def _draw_arms(p: np.ndarray, u: np.ndarray) -> np.ndarray:
         cum += p[..., k]
         arms += cum < u
     return arms
-
-
-def action_kernel(f: OutcomeModel, gamma: float, x) -> np.ndarray:
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    return action_probs(f.values(x), gamma)
 
 
 def _xi_epoch(m, schedule: EpochSchedule, rate: EstimationRate, delta_prime: float):
@@ -285,8 +279,7 @@ def _run_epoch_loop(
         if safe:
             model, gamma = policies[m]
         # after a detection, model and gamma stay the fallback's
-        P = action_probs(model.values_batch(X), gamma)
-        A = _draw_arms(P, U)
+        A = _draw_arms(action_probs(model.values_batch(X), gamma), U)
         r = R.ravel()[first_of_row + A]
         trace.safe[lo:hi] = safe
 
@@ -313,8 +306,8 @@ def _run_epoch_loop(
                     # <= 0; fall back to the uniform epoch-1 kernel then.
                     model, gamma = policies[max(m_hat, 1)]
                     rest = slice(i + 1, n)
-                    P[rest] = action_probs(model.values_batch(X[rest]), gamma)
-                    A[rest] = _draw_arms(P[rest], U[rest])
+                    P = action_probs(model.values_batch(X[rest]), gamma)
+                    A[rest] = _draw_arms(P, U[rest])
                     r = R.ravel()[first_of_row + A]
                     break
 
@@ -328,11 +321,7 @@ def _run_epoch_loop(
                     gamma_scale * gamma_m(m + 1, schedule, rate, dp, K),
                 )
 
-        # expected regret, one arm column at a time, summed in arm order
         opt, opt_mean = _first_max(means.T)
-        played_mean = np.zeros(n)
-        for k in range(K):
-            played_mean += P[:, k] * means[:, k]
         trace.epoch[lo:hi] = m
         trace.contexts[lo:hi] = X
         trace.actions[lo:hi] = A
@@ -340,7 +329,6 @@ def _run_epoch_loop(
         trace.reward_vectors[lo:hi] = R
         trace.optimal_arms[lo:hi] = opt
         trace.optimal_means[lo:hi] = opt_mean
-        trace.expected_regret[lo:hi] = opt_mean - played_mean
 
     trace.detection_round = detection_round
     trace.m_hat_final = m_hat
@@ -362,10 +350,9 @@ def run_falcon_plus(
     oracle: RegressionOracle,
     config: AlgorithmConfig,
     seed: int,
-    gamma_scale: float = FALCON_PLUS_GAMMA_SCALE,
 ) -> RunTrace:
     """FALCON+ baseline: same epoch loop, no safety tests, gamma scaled up by
-    sqrt(2). Pass gamma_scale=1.0 to get a test-free twin of Safe-FALCON."""
+    sqrt(2)."""
     return _run_epoch_loop(
-        env, oracle, config, seed, gamma_scale=gamma_scale, run_checks=False
+        env, oracle, config, seed, gamma_scale=FALCON_PLUS_GAMMA_SCALE, run_checks=False
     )

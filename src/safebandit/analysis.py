@@ -185,12 +185,11 @@ class EpochSummary:
     last_round: int
     count: int
     mean_realized_regret: float
-    mean_expected_regret: float
 
 
 def epoch_summaries(trace) -> list[EpochSummary]:
-    """Per-epoch averages of realized and expected regret for one run. The
-    epoch column is sorted, so each epoch is one contiguous slice."""
+    """Per-epoch average realized regret for one run. The epoch column is
+    sorted, so each epoch is one contiguous slice."""
     realized = trace.realized_regret
     epochs = trace.epoch
     bounds = [0, *(np.flatnonzero(np.diff(epochs)) + 1).tolist(), len(epochs)]
@@ -201,7 +200,6 @@ def epoch_summaries(trace) -> list[EpochSummary]:
             last_round=hi,
             count=hi - lo,
             mean_realized_regret=float(realized[lo:hi].mean()),
-            mean_expected_regret=float(trace.expected_regret[lo:hi].mean()),
         )
         for lo, hi in zip(bounds, bounds[1:])
         if hi > lo

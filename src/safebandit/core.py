@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,20 +15,17 @@ def _one_row(x) -> np.ndarray:
 class OutcomeModel:
     """Deterministic map from (context, arm) to a mean reward in [0, 1].
 
-    Subclasses implement ``values`` returning the full length-K vector of
-    predictions for one context; outputs must already be clamped to [0, 1].
-    ``values_batch`` maps an (n, dim) array of contexts to the (n, K) array of
-    predictions; its default calls ``values`` once per row.
+    Subclasses override ``values_batch``, which maps an (n, dim) array of
+    contexts to the (n, K) array of predictions, already clamped to [0, 1].
+    ``values`` gives the length-K vector for one context as row 0 of a batch
+    of one, so each formula is written once.
     """
 
-    def values(self, x) -> np.ndarray:
+    def values_batch(self, X) -> np.ndarray:
         raise NotImplementedError
 
-    def values_batch(self, X) -> np.ndarray:
-        return np.array([self.values(x) for x in X], dtype=float)
-
-    def value(self, x, arm: int) -> float:
-        return float(self.values(x)[arm])
+    def values(self, x) -> np.ndarray:
+        return self.values_batch(_one_row(x))[0]
 
 
 class ConstantModel(OutcomeModel):
@@ -36,9 +33,6 @@ class ConstantModel(OutcomeModel):
 
     def __init__(self, values):
         self._values = np.clip(np.asarray(values, dtype=float), 0.0, 1.0)
-
-    def values(self, x) -> np.ndarray:
-        return self.values_batch(_one_row(x))[0]
 
     def values_batch(self, X) -> np.ndarray:
         return np.broadcast_to(self._values, (len(X), len(self._values)))
@@ -57,9 +51,6 @@ class LinearPerArmModel(OutcomeModel):
         if self.slopes.shape[0] != self.intercepts.shape[0]:
             raise ValueError("one slope row per arm required")
 
-    def values(self, x) -> np.ndarray:
-        return self.values_batch(_one_row(x))[0]
-
     def values_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         # Arm-major (K, n), summed over the context dims in order from +0.0:
@@ -76,9 +67,6 @@ class TabularModel(OutcomeModel):
 
     def __init__(self, table):
         self.table = np.clip(np.asarray(table, dtype=float), 0.0, 1.0)
-
-    def values(self, x) -> np.ndarray:
-        return self.values_batch(_one_row(x))[0]
 
     def values_batch(self, X) -> np.ndarray:
         return self.table[np.asarray(X)[:, 0].astype(int)]
@@ -115,16 +103,6 @@ class EpochSchedule:
         return self.tau(m) - self.tau(m - 1)
 
 
-def epoch_of(t: int, schedule: EpochSchedule) -> int:
-    """Epoch containing round t: the least m with t <= tau_m."""
-    return schedule.epoch_of(t)
-
-
-def greedy_policy(f: OutcomeModel, x) -> int:
-    """Arm maximizing f(x, .); ties broken by lowest index."""
-    return int(np.argmax(f.values(x)))
-
-
 @dataclass
 class RunTrace:
     """Per-round record of one bandit run.
@@ -141,7 +119,6 @@ class RunTrace:
     reward_vectors: np.ndarray
     optimal_arms: np.ndarray
     optimal_means: np.ndarray
-    expected_regret: np.ndarray
     safe: np.ndarray
     m_hat: np.ndarray
     detection_round: int | None = None
@@ -158,7 +135,6 @@ class RunTrace:
             reward_vectors=np.empty((T, K)),
             optimal_arms=np.empty(T, dtype=np.intp),
             optimal_means=np.empty(T),
-            expected_regret=np.empty(T),
             safe=np.empty(T, dtype=bool),
             m_hat=np.empty(T, dtype=int),
         )

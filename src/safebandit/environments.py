@@ -12,12 +12,16 @@ from .core import LinearPerArmModel, _one_row
 class BanditEnvironment:
     """Stationary environment: a context distribution, true means, rewards.
 
-    ``sample`` returns (context, mean vector, realized reward vector); the
-    algorithm may only look at the chosen arm's reward, but traces record the
-    full vector so realized counterfactual regret is well defined.
     ``sample_batch(rng, n)`` draws n rounds at once as arrays: contexts
-    (n, dim), means (n, K) and rewards (n, K). Its default calls ``sample``
-    once per round, in order, so stateful environments stay correct.
+    (n, dim), means (n, K) and realized rewards (n, K). The algorithm may
+    only look at the chosen arm's reward, but traces record the full vector
+    so realized counterfactual regret is well defined. ``sample(rng)`` draws
+    one round as (context, mean vector, reward vector).
+
+    Subclasses override one of the two. A stateless environment overrides
+    ``sample_batch``, and ``sample`` returns row 0 of a batch of one. A
+    stateful one overrides ``sample``, and the default ``sample_batch`` calls
+    it once per round, in order.
     """
 
     K: int
@@ -25,7 +29,8 @@ class BanditEnvironment:
     optimal_value: float | None = None  # R(pi*) when known analytically
 
     def sample(self, rng: np.random.Generator):
-        raise NotImplementedError
+        X, means, rewards = self.sample_batch(rng, 1)
+        return X[0], means[0], rewards[0]
 
     def sample_batch(self, rng: np.random.Generator, n: int):
         xs, means, rewards = zip(*(self.sample(rng) for _ in range(n)))
@@ -34,12 +39,6 @@ class BanditEnvironment:
 
     def true_values(self, x) -> np.ndarray:
         raise NotImplementedError
-
-
-def sample_round(env: BanditEnvironment, rng: np.random.Generator):
-    """Draw one (context, reward vector) pair from the environment."""
-    x, _, rewards = env.sample(rng)
-    return x, rewards
 
 
 class IntroExampleEnv(BanditEnvironment):
@@ -56,17 +55,15 @@ class IntroExampleEnv(BanditEnvironment):
 
     @staticmethod
     def _means(X) -> np.ndarray:
-        step = (X[:, 0] > 0.5).astype(float)
-        return np.column_stack([step, np.full(len(X), 0.5)])
+        means = np.empty((len(X), 2))
+        means[:, 0] = X[:, 0] > 0.5
+        means[:, 1] = 0.5
+        return means
 
     def sample_batch(self, rng, n):
         X = rng.random((n, 1))
         means = self._means(X)
         return X, means, means + rng.standard_normal((n, 2))
-
-    def sample(self, rng):
-        X, means, rewards = self.sample_batch(rng, 1)
-        return X[0], means[0], rewards[0]
 
     def true_values(self, x) -> np.ndarray:
         return self._means(_one_row(x))[0]
@@ -108,10 +105,6 @@ class LowerBoundEnv(BanditEnvironment):
         means = self._means(X)
         return X, means, means.copy()
 
-    def sample(self, rng):
-        X, means, rewards = self.sample_batch(rng, 1)
-        return X[0], means[0], rewards[0]
-
 
 class RealizableLinearEnv(BanditEnvironment):
     """Control condition: per-arm affine true means, so the linear oracle's
@@ -134,10 +127,6 @@ class RealizableLinearEnv(BanditEnvironment):
         means = self._truth.values_batch(X)
         noise = rng.uniform(-0.1, 0.1, (n, self.K))
         return X, means, np.clip(means + noise, 0.0, 1.0)
-
-    def sample(self, rng):
-        X, means, rewards = self.sample_batch(rng, 1)
-        return X[0], means[0], rewards[0]
 
 
 def realizable_linear_env(K: int, dim: int, coefficient_seed: int) -> RealizableLinearEnv:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import math
 import os
 from dataclasses import dataclass, replace
 
@@ -18,6 +17,9 @@ ENVIRONMENTS = ("intro-example", "lower-bound", "realizable-linear")
 # fixed seed for the realizable environment's coefficients, so the config
 # alone determines the instance
 _REALIZABLE_COEF_SEED = 20210229
+
+# most rounds (runs * T) one config may ask for
+ROUND_BUDGET = 400_000_000
 
 TRACE_HEADER = [
     "run_id",
@@ -53,7 +55,6 @@ class ExperimentConfig:
     seed: int = 0
     avg_epoch_test: bool = False
     out: str = "out"
-    round_budget: int = 400_000_000
 
     def validate(self):
         if self.algorithm not in ALGORITHMS:
@@ -62,9 +63,14 @@ class ExperimentConfig:
             raise ConfigError(f"unknown environment {self.env!r}")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
-        if self.runs * self.horizon > self.round_budget:
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.runs * self.horizon > ROUND_BUDGET:
             raise ConfigError("runs * T exceeds the round budget")
-        AlgorithmConfig(self.tau1, self.delta, self.horizon, self.avg_epoch_test)
+        try:
+            AlgorithmConfig(self.tau1, self.delta, self.horizon, self.avg_epoch_test)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
 
 
 _KEYMAP = {

@@ -56,15 +56,6 @@ class CommonRate(EstimationRate):
         return np.where(n >= self.n0, body, 1.0)
 
 
-def xi(rate: EstimationRate, n: int, zeta: float) -> float:
-    """Evaluate an estimation rate with argument checking."""
-    if n < 1:
-        raise ValueError("sample size n must be >= 1")
-    if not 0.0 < zeta < 1.0:
-        raise ValueError("zeta must lie in (0, 1)")
-    return float(rate.xi(n, zeta))
-
-
 @dataclass
 class RateValidationReport:
     ok: bool
@@ -201,7 +192,3 @@ class LinearPerArmOracle(RegressionOracle):
                 intercepts[a] = coef[0]
                 slopes[a] = coef[1:]
         return LinearPerArmModel(intercepts, slopes)
-
-
-def fit(oracle: RegressionOracle, data) -> OutcomeModel:
-    return oracle.fit(data)

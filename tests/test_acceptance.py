@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Criteria 5 and 6 share two 50-run batches of the two-arm step/flat example at
-T = 2^17; each batch takes roughly two minutes, so they are built once per
-session.
+T = 2^17; each batch takes about 5 s on a 2-core machine, and they are built
+once per session.
 """
 
 import math

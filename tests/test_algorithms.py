@@ -9,7 +9,6 @@ import pytest
 from safebandit import (
     AlgorithmConfig,
     BanditEnvironment,
-    ConstantModel,
     Dataset,
     EpochSchedule,
     EstimationRate,
@@ -17,7 +16,6 @@ from safebandit import (
     LinearChiSquaredRate,
     LinearPerArmOracle,
     RunTrace,
-    action_kernel,
     action_probs,
     avg_epoch_check,
     check_is_safe,
@@ -69,10 +67,6 @@ class TestActionProbs:
             assert np.all(p[mask] <= 1.0 / K + 1e-12)
             est_regret = float(np.sum(p * (values[best] - values)))
             assert est_regret <= K / gamma + 1e-12
-
-    def test_action_kernel_rejects_bad_gamma(self):
-        with pytest.raises(ValueError):
-            action_kernel(ConstantModel([0.1, 0.9]), 0.0, 0.3)
 
 
 class TestGammaM:
@@ -260,11 +254,11 @@ class TestEpochLoopIntegration:
             assert trace_with.detection_round <= trace_without.detection_round
 
     def test_safe_falcon_matches_gamma_matched_twin_when_no_flip(self):
-        # with gamma_scale=1 and no flip, FALCON+'s loop is byte-identical
+        # with gamma scale 1 and no flip, the test-free loop is byte-identical
         env = realizable_linear_env(2, dim=1, coefficient_seed=5)
         cfg = AlgorithmConfig(tau1=8, delta=0.05, horizon=1024)
         a = run_safe_falcon(env, LinearPerArmOracle(2, 1), cfg, seed=3)
-        b = run_falcon_plus(env, LinearPerArmOracle(2, 1), cfg, seed=3, gamma_scale=1.0)
+        b = algorithms._run_epoch_loop(env, LinearPerArmOracle(2, 1), cfg, 3, 1.0, run_checks=False)
         assert a.detection_round is None
         np.testing.assert_array_equal(a.actions, b.actions)
         np.testing.assert_array_equal(a.rewards, b.rewards)
@@ -275,7 +269,9 @@ class TestEpochLoopIntegration:
         env = realizable_linear_env(2, dim=1, coefficient_seed=5)
         cfg = AlgorithmConfig(tau1=8, delta=0.05, horizon=2048)
         scaled = run_falcon_plus(env, LinearPerArmOracle(2, 1), cfg, seed=3)
-        unscaled = run_falcon_plus(env, LinearPerArmOracle(2, 1), cfg, seed=3, gamma_scale=1.0)
+        unscaled = algorithms._run_epoch_loop(
+            env, LinearPerArmOracle(2, 1), cfg, 3, 1.0, run_checks=False
+        )
         assert FALCON_PLUS_GAMMA_SCALE == pytest.approx(math.sqrt(2.0))
         assert not np.array_equal(scaled.actions, unscaled.actions)
 
@@ -290,12 +286,6 @@ class TestEpochLoopIntegration:
         np.testing.assert_array_equal(a.rewards, b.rewards)
         c = run_safe_falcon(env, LinearPerArmOracle(3, 1), cfg, seed=10)
         assert not np.array_equal(a.rewards, c.rewards)
-
-    def test_expected_regret_nonnegative(self):
-        env = realizable_linear_env(2, dim=1, coefficient_seed=2)
-        cfg = AlgorithmConfig(tau1=4, delta=0.05, horizon=500)
-        trace = run_falcon_plus(env, LinearPerArmOracle(2, 1), cfg, seed=1)
-        assert np.all(trace.expected_regret >= -1e-12)
 
 
 def replay_tests(trace, cfg):
@@ -390,7 +380,7 @@ def reference_run(env, oracle, cfg, seed, gamma_scale, run_checks):
     l_prev, m_hat, crwd = 0.0, 0, 0.0
     safe, detection = True, None
     names = ["epoch", "contexts", "actions", "rewards", "reward_vectors", "optimal_arms",
-             "optimal_means", "expected_regret", "safe", "m_hat"]
+             "optimal_means", "safe", "m_hat"]
     cols = {name: [] for name in names}
 
     m = 0
@@ -412,12 +402,7 @@ def reference_run(env, oracle, cfg, seed, gamma_scale, run_checks):
             a = min(int(np.searchsorted(np.cumsum(p), u)), K - 1)
             r = float(rewards[a])
             opt = int(np.argmax(mu))
-            # the engine sums over arms in arm order from +0.0
-            played = 0.0
-            for pk, mk in zip(p, mu):
-                played += pk * mk
-            for name, value in zip(names, (m, x, a, r, rewards, opt, mu[opt],
-                                           mu[opt] - played)):
+            for name, value in zip(names, (m, x, a, r, rewards, opt, mu[opt])):
                 cols[name].append(value)
             if safe and run_checks:
                 crwd += r

@@ -205,8 +205,7 @@ def mask_epoch_summaries(trace):
         count = int(mask.sum())
         first = int(np.nonzero(mask)[0][0]) + 1
         out.append(EpochSummary(int(m), first, first + count - 1, count,
-                                float(realized[mask].mean()),
-                                float(trace.expected_regret[mask].mean())))
+                                float(realized[mask].mean())))
     return out
 
 
@@ -246,7 +245,7 @@ class TestEpochSummaries:
 
     def test_constant_regret_aggregation(self):
         rows = [
-            [EpochSummary(m, 0, 0, 1, 0.1, 0.1) for m in (1, 2, 3)],
+            [EpochSummary(m, 0, 0, 1, 0.1) for m in (1, 2, 3)],
         ]
         agg = aggregate_runs(rows)
         for row in agg:
@@ -255,7 +254,7 @@ class TestEpochSummaries:
 
     def test_cross_run_ci(self):
         rows = [
-            [EpochSummary(1, 0, 0, 1, v, v)] for v in (0.1, 0.2, 0.3, 0.4)
+            [EpochSummary(1, 0, 0, 1, v)] for v in (0.1, 0.2, 0.3, 0.4)
         ]
         agg = aggregate_runs(rows)
         assert agg[0]["mean"] == pytest.approx(0.25)

@@ -11,8 +11,6 @@ from safebandit import (
     LinearPerArmModel,
     RunTrace,
     TabularModel,
-    epoch_of,
-    greedy_policy,
     zero_model,
 )
 
@@ -27,18 +25,18 @@ class TestEpochSchedule:
     def test_epoch_of(self):
         s = EpochSchedule(2)
         # tau_2 = 4 < 5 <= tau_3 = 8
-        assert epoch_of(5, s) == 3
-        assert epoch_of(1, s) == 1
-        assert epoch_of(2, s) == 1
-        assert epoch_of(3, s) == 2
-        assert epoch_of(4, s) == 2
-        assert epoch_of(8, s) == 3
-        assert epoch_of(9, s) == 4
+        assert s.epoch_of(5) == 3
+        assert s.epoch_of(1) == 1
+        assert s.epoch_of(2) == 1
+        assert s.epoch_of(3) == 2
+        assert s.epoch_of(4) == 2
+        assert s.epoch_of(8) == 3
+        assert s.epoch_of(9) == 4
 
     def test_epoch_of_consistent_with_tau(self):
         s = EpochSchedule(4)
         for t in range(1, 300):
-            m = epoch_of(t, s)
+            m = s.epoch_of(t)
             assert s.tau(m - 1) < t <= s.tau(m)
 
     def test_epoch_size(self):
@@ -58,7 +56,6 @@ class TestModels:
     def test_constant_model_clamps(self):
         m = ConstantModel([-0.5, 0.3, 1.7])
         np.testing.assert_allclose(m.values(0.0), [0.0, 0.3, 1.0])
-        assert m.value(123.0, 1) == pytest.approx(0.3)
 
     def test_zero_model(self):
         np.testing.assert_array_equal(zero_model(3).values(0.7), np.zeros(3))
@@ -79,15 +76,6 @@ class TestModels:
         np.testing.assert_allclose(m.values(1), [0.8, 0.2])
 
 
-class TestGreedyPolicy:
-    def test_argmax(self):
-        assert greedy_policy(ConstantModel([0.1, 0.9, 0.4]), 0.0) == 1
-
-    def test_ties_lowest_index(self):
-        assert greedy_policy(ConstantModel([0.5, 0.5, 0.5]), 0.0) == 0
-        assert greedy_policy(ConstantModel([0.2, 0.7, 0.7]), 0.0) == 1
-
-
 class TestRunTrace:
     def test_realized_regret(self):
         trace = RunTrace(
@@ -98,7 +86,6 @@ class TestRunTrace:
             reward_vectors=np.array([[0.2, 0.7], [0.4, 0.9], [0.6, 0.1]]),
             optimal_arms=np.array([1, 1, 0]),
             optimal_means=np.array([0.7, 0.9, 0.6]),
-            expected_regret=np.zeros(3),
             safe=np.ones(3, dtype=bool),
             m_hat=np.zeros(3, dtype=int),
         )

@@ -13,7 +13,6 @@ from safebandit import (
     RealizableLinearEnv,
     TabularEnv,
     realizable_linear_env,
-    sample_round,
 )
 
 
@@ -38,10 +37,6 @@ class TestIntroExampleEnv:
         assert abs(rewards[:, 0].mean() - 0.5) < se
         se = 3.0 / math.sqrt(n)
         assert abs(rewards[:, 1].mean() - 0.5) < se
-
-    def test_sample_round(self):
-        x, rewards = sample_round(IntroExampleEnv(), _rng(2))
-        assert x.shape == (1,) and rewards.shape == (2,)
 
 
 class TestLowerBoundEnv:

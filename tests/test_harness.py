@@ -17,6 +17,7 @@ from safebandit import (
     run_falcon_plus,
     run_safe_falcon,
 )
+from safebandit import harness
 from safebandit.cli import main
 from safebandit.harness import (
     ConfigError,
@@ -307,6 +308,24 @@ class TestCli:
             config.write_text(f"env = realizable-linear\nenv.K = {k}\nT = 16\n"
                               f"out = {tmp_path / 'out'}\n")
             assert main(["run", "--config", str(config)]) == 2
+        # out-of-range values: a ConfigError, not a traceback from
+        # AlgorithmConfig or from np.random.Philox
+        out = str(tmp_path / "bad")
+        for flag, value in (("--delta", "2"), ("--tau1", "1"), ("--T", "0"), ("--seed", "-1")):
+            assert main(["run", flag, value, "--out", out]) == 2
+        assert main(["compare", "--a-algorithm", "safe-falcon", "--b-algorithm", "falcon-plus",
+                     "--b-seed", "-1", "--out", out]) == 2
+        assert not (tmp_path / "bad").exists()
+
+    def test_over_budget_exit_code(self, tmp_path, monkeypatch):
+        # 400000 runs of 1024 rounds exceed the budget; nothing may run
+        def fail(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(harness, "run_safe_falcon", fail)
+        out = str(tmp_path / "budget")
+        assert main(["run", "--runs", "400000", "--T", "1024", "--out", out]) == 2
+        assert not (tmp_path / "budget").exists()
 
     def test_lowerbound_check(self, capsys):
         assert main(["lowerbound-check", "--K", "3", "--B", "0.05"]) == 0
