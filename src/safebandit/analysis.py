@@ -181,8 +181,6 @@ def policy_regret(table: np.ndarray, pi, env: TabularEnv) -> float:
 @dataclass
 class EpochSummary:
     epoch: int
-    first_round: int
-    last_round: int
     count: int
     mean_realized_regret: float
 
@@ -196,8 +194,6 @@ def epoch_summaries(trace) -> list[EpochSummary]:
     return [
         EpochSummary(
             epoch=int(epochs[lo]),
-            first_round=lo + 1,
-            last_round=hi,
             count=hi - lo,
             mean_realized_regret=float(realized[lo:hi].mean()),
         )
@@ -208,15 +204,16 @@ def epoch_summaries(trace) -> list[EpochSummary]:
 
 def aggregate_runs(per_run_summaries: list[list[EpochSummary]]):
     """Cross-run mean and normal-approximation 95% CI of per-epoch realized
-    regret. Returns a list of dicts, one per epoch index present in all runs."""
+    regret. Returns a list of dicts, one per epoch. The runs must share their
+    epochs, as the runs of one config do."""
     if not per_run_summaries:
         raise ValueError("need at least one run")
-    epochs = sorted(set.intersection(*[{s.epoch for s in run} for run in per_run_summaries]))
+    epochs = [s.epoch for s in per_run_summaries[0]]
+    if any([s.epoch for s in run] != epochs for run in per_run_summaries):
+        raise ValueError("runs must share their epochs")
     rows = []
-    for m in epochs:
-        vals = np.array(
-            [next(s for s in run if s.epoch == m).mean_realized_regret for run in per_run_summaries]
-        )
+    for i, m in enumerate(epochs):
+        vals = np.array([run[i].mean_realized_regret for run in per_run_summaries])
         mean = float(vals.mean())
         if len(vals) > 1:
             half = 1.96 * float(vals.std(ddof=1)) / math.sqrt(len(vals))
@@ -228,7 +225,6 @@ def aggregate_runs(per_run_summaries: list[list[EpochSummary]]):
                 "mean": mean,
                 "ci_low": mean - half,
                 "ci_high": mean + half,
-                "runs": len(vals),
             }
         )
     return rows

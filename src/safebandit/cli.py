@@ -15,6 +15,7 @@ import numpy as np
 from .analysis import lower_bound_instance_regret, lower_bound_sqrt_b_bruteforce
 from .environments import LowerBoundEnv
 from .harness import (
+    CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
     apply_key,
@@ -24,35 +25,21 @@ from .harness import (
 )
 from .oracle import CommonRate, LinearChiSquaredRate, validate_rate
 
-_FLAG_KEYS = [
-    ("--algorithm", "algorithm"),
-    ("--env", "env"),
-    ("--env-k", "env.K"),
-    ("--env-b", "env.B"),
-    ("--tau1", "tau1"),
-    ("--delta", "delta"),
-    ("--T", "T"),
-    ("--runs", "runs"),
-    ("--seed", "seed"),
-    ("--avg-epoch-test", "avg_epoch_test"),
-    ("--out", "out"),
-]
-
 
 def _add_config_flags(parser, prefix=""):
-    dash = f"{prefix}-" if prefix else ""
-    parser.add_argument(f"--{dash}config", metavar="FILE", default=None)
-    for flag, _ in _FLAG_KEYS:
-        parser.add_argument(f"--{dash}{flag[2:]}", default=None, metavar="V")
+    """One flag per config key, each spelled with ``prefix`` ("" or "a-")."""
+    parser.add_argument(f"--{prefix}config", dest=f"{prefix}config", metavar="FILE", default=None)
+    for key, (_, flag) in CONFIG_KEYS.items():
+        # compare's two sides share one --out
+        if not (prefix and key == "out"):
+            parser.add_argument(f"--{prefix}{flag[2:]}", dest=prefix + key, default=None, metavar="V")
 
 
 def _build_config(args, prefix="") -> ExperimentConfig:
-    under = f"{prefix}_" if prefix else ""
-    path = getattr(args, f"{under}config")
+    path = getattr(args, f"{prefix}config")
     cfg = load_config_file(path) if path else ExperimentConfig()
-    for flag, key in _FLAG_KEYS:
-        attr = (under + flag[2:]).replace("-", "_")
-        value = getattr(args, attr, None)
+    for key in CONFIG_KEYS:
+        value = getattr(args, prefix + key, None)
         if value is not None:
             cfg = apply_key(cfg, key, value)
     cfg.validate()
@@ -67,10 +54,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg_a = _build_config(args, prefix="a")
-    cfg_b = _build_config(args, prefix="b")
-    if args.out is not None:
-        cfg_a = apply_key(cfg_a, "out", args.out)
+    cfg_a = apply_key(_build_config(args, prefix="a-"), "out", args.out)
+    cfg_b = _build_config(args, prefix="b-")
     result = compare_experiments(cfg_a, cfg_b)
     print(f"wrote {result['epochs']}, {result['flips']}")
     return 0
@@ -78,7 +63,12 @@ def _cmd_compare(args) -> int:
 
 def _cmd_lowerbound_check(args) -> int:
     K, B = args.K, args.B
-    env = LowerBoundEnv(K, B)
+    if args.seed < 0:
+        raise ConfigError("seed must be >= 0")
+    try:
+        env = LowerBoundEnv(K, B)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     analytic = math.sqrt(env.per_arm_variance)
     brute = lower_bound_sqrt_b_bruteforce(K, B, seed=args.seed)
     print(f"sqrt(B) analytic:    {analytic:.12f}")
@@ -101,7 +91,10 @@ def _cmd_validate_rate(args) -> int:
         rate = LinearChiSquaredRate()
     else:
         rate = CommonRate(args.C, args.rho, args.rho_prime, args.comp, args.n0)
-    report = validate_rate(rate, args.delta, args.n_max)
+    try:
+        report = validate_rate(rate, args.delta, args.n_max)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     if report.ok:
         print(f"rate valid for delta={args.delta}, n_max={args.n_max}")
         return 0
@@ -122,9 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run two configs side by side")
-    _add_config_flags(p_cmp, prefix="a")
-    _add_config_flags(p_cmp, prefix="b")
-    p_cmp.add_argument("--out", default=None)
+    _add_config_flags(p_cmp, prefix="a-")
+    _add_config_flags(p_cmp, prefix="b-")
+    p_cmp.add_argument("--out", default=ExperimentConfig.out)
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_lb = sub.add_parser(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import os
+import typing
 from dataclasses import dataclass, replace
 
 from .algorithms import AlgorithmConfig, run_falcon_plus, run_safe_falcon
@@ -12,11 +13,19 @@ from .environments import IntroExampleEnv, LowerBoundEnv, realizable_linear_env
 from .oracle import LinearPerArmOracle
 
 ALGORITHMS = ("safe-falcon", "falcon-plus")
-ENVIRONMENTS = ("intro-example", "lower-bound", "realizable-linear")
 
 # fixed seed for the realizable environment's coefficients, so the config
 # alone determines the instance
 _REALIZABLE_COEF_SEED = 20210229
+
+# environment name -> factory taking the ExperimentConfig
+ENVIRONMENTS = {
+    "intro-example": lambda cfg: IntroExampleEnv(),
+    "lower-bound": lambda cfg: LowerBoundEnv(cfg.env_k, cfg.env_b),
+    "realizable-linear": lambda cfg: realizable_linear_env(
+        cfg.env_k, dim=1, coefficient_seed=_REALIZABLE_COEF_SEED
+    ),
+}
 
 # most rounds (runs * T) one config may ask for
 ROUND_BUDGET = 400_000_000
@@ -73,19 +82,22 @@ class ExperimentConfig:
             raise ConfigError(str(e)) from e
 
 
-_KEYMAP = {
-    "algorithm": ("algorithm", str),
-    "env": ("env", str),
-    "env.K": ("env_k", int),
-    "env.B": ("env_b", float),
-    "tau1": ("tau1", int),
-    "delta": ("delta", float),
-    "T": ("horizon", int),
-    "runs": ("runs", int),
-    "seed": ("seed", int),
-    "avg_epoch_test": ("avg_epoch_test", None),
-    "out": ("out", str),
+# config-file key -> (ExperimentConfig field, command-line flag); a value is
+# parsed as its field's type
+CONFIG_KEYS = {
+    "algorithm": ("algorithm", "--algorithm"),
+    "env": ("env", "--env"),
+    "env.K": ("env_k", "--env-k"),
+    "env.B": ("env_b", "--env-b"),
+    "tau1": ("tau1", "--tau1"),
+    "delta": ("delta", "--delta"),
+    "T": ("horizon", "--T"),
+    "runs": ("runs", "--runs"),
+    "seed": ("seed", "--seed"),
+    "avg_epoch_test": ("avg_epoch_test", "--avg-epoch-test"),
+    "out": ("out", "--out"),
 }
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def _parse_bool(s: str) -> bool:
@@ -112,10 +124,11 @@ def load_config_file(path: str) -> ExperimentConfig:
 
 
 def apply_key(cfg: ExperimentConfig, key: str, value: str) -> ExperimentConfig:
-    if key not in _KEYMAP:
+    if key not in CONFIG_KEYS:
         raise ConfigError(f"unknown config key {key!r}")
-    attr, conv = _KEYMAP[key]
-    if conv is None:
+    attr = CONFIG_KEYS[key][0]
+    conv = _FIELD_TYPES[attr]
+    if conv is bool:
         parsed = _parse_bool(value)
     else:
         try:
@@ -126,18 +139,10 @@ def apply_key(cfg: ExperimentConfig, key: str, value: str) -> ExperimentConfig:
 
 
 def build_environment(cfg: ExperimentConfig):
-    if cfg.env == "intro-example":
-        return IntroExampleEnv()
     try:
-        if cfg.env == "lower-bound":
-            return LowerBoundEnv(cfg.env_k, cfg.env_b)
-        if cfg.env == "realizable-linear":
-            return realizable_linear_env(
-                cfg.env_k, dim=1, coefficient_seed=_REALIZABLE_COEF_SEED
-            )
+        return ENVIRONMENTS[cfg.env](cfg)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    raise ConfigError(f"unknown environment {cfg.env!r}")
 
 
 def run_replications(cfg: ExperimentConfig):
@@ -151,12 +156,6 @@ def run_replications(cfg: ExperimentConfig):
     for i in range(cfg.runs):
         traces.append(runner(env, oracle, algo_cfg, cfg.seed + i))
     return traces
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def write_trace_csv(path: str, traces):
@@ -190,19 +189,23 @@ def _epoch_rows(per_run, aggregate):
     aggregate rows (run_id = 'all')."""
     for run_id, summaries in enumerate(per_run):
         for s in summaries:
-            yield [s.epoch, run_id, _fmt(s.mean_realized_regret), s.count, "", ""]
+            yield [s.epoch, run_id, s.mean_realized_regret, s.count, "", ""]
     for row in aggregate:
-        yield [row["epoch"], "all", _fmt(row["mean"]), "",
-               _fmt(row["ci_low"]), _fmt(row["ci_high"])]
+        yield [row["epoch"], "all", row["mean"], "", row["ci_low"], row["ci_high"]]
+
+
+def _write_csv(path: str, header, rows):
+    """Header and rows in the csv module's excel dialect (floats as ``repr``)."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_epochs_csv(path: str, per_run, aggregate):
     """Per-epoch mean regret per run plus cross-run aggregate rows
     (run_id = 'all')."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(EPOCHS_HEADER)
-        w.writerows(_epoch_rows(per_run, aggregate))
+    _write_csv(path, EPOCHS_HEADER, _epoch_rows(per_run, aggregate))
 
 
 def render_regret_svg(aggregate, title="per-epoch mean regret") -> str:
@@ -278,8 +281,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     title = f"{cfg.algorithm} on {cfg.env}: per-epoch mean regret"
     with open(paths["svg"], "w") as fh:
         fh.write(render_regret_svg(aggregate, title))
-    paths["traces"] = traces
-    paths["aggregate"] = aggregate
     return paths
 
 
@@ -303,27 +304,17 @@ def compare_experiments(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> dic
     os.makedirs(out, exist_ok=True)
     result = {"epochs": os.path.join(out, "compare_epochs.csv"),
               "flips": os.path.join(out, "compare_flips.csv")}
-    aggregates = {}
     epoch_rows = []
     flip_rows = []
     for cfg in (cfg_a, cfg_b):
         traces = run_replications(cfg)
         per_run = [epoch_summaries(t) for t in traces]
         aggregate = aggregate_runs(per_run)
-        aggregates[cfg.algorithm] = aggregate
         epoch_rows += ([cfg.algorithm] + row for row in _epoch_rows(per_run, aggregate))
         if cfg.algorithm == "safe-falcon":
             for run_id, t in enumerate(traces):
                 flip = first_flip_epoch(t)
                 flip_rows.append([run_id, "" if flip is None else flip])
-    with open(result["epochs"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["algorithm"] + EPOCHS_HEADER)
-        w.writerows(epoch_rows)
-    with open(result["flips"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run_id", "flip_epoch"])
-        w.writerows(flip_rows)
-    result["aggregates"] = aggregates
-    result["flip_rows"] = flip_rows
+    _write_csv(result["epochs"], ["algorithm"] + EPOCHS_HEADER, epoch_rows)
+    _write_csv(result["flips"], ["run_id", "flip_epoch"], flip_rows)
     return result

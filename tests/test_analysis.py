@@ -202,10 +202,7 @@ def mask_epoch_summaries(trace):
     out = []
     for m in np.unique(trace.epoch):
         mask = trace.epoch == m
-        count = int(mask.sum())
-        first = int(np.nonzero(mask)[0][0]) + 1
-        out.append(EpochSummary(int(m), first, first + count - 1, count,
-                                float(realized[mask].mean())))
+        out.append(EpochSummary(int(m), int(mask.sum()), float(realized[mask].mean())))
     return out
 
 
@@ -238,14 +235,11 @@ class TestEpochSummaries:
         trace = run_falcon_plus(env, LinearPerArmOracle(2, 1), cfg, seed=0)
         summaries = epoch_summaries(trace)
         assert sum(s.count for s in summaries) == 100
-        assert summaries[0].first_round == 1 and summaries[0].count == 4
-        assert summaries[-1].last_round == 100
-        for s in summaries:
-            assert s.count == s.last_round - s.first_round + 1
+        assert summaries[0].count == 4
 
     def test_constant_regret_aggregation(self):
         rows = [
-            [EpochSummary(m, 0, 0, 1, 0.1) for m in (1, 2, 3)],
+            [EpochSummary(m, 1, 0.1) for m in (1, 2, 3)],
         ]
         agg = aggregate_runs(rows)
         for row in agg:
@@ -254,7 +248,7 @@ class TestEpochSummaries:
 
     def test_cross_run_ci(self):
         rows = [
-            [EpochSummary(1, 0, 0, 1, v)] for v in (0.1, 0.2, 0.3, 0.4)
+            [EpochSummary(1, 1, v)] for v in (0.1, 0.2, 0.3, 0.4)
         ]
         agg = aggregate_runs(rows)
         assert agg[0]["mean"] == pytest.approx(0.25)
@@ -262,3 +256,11 @@ class TestEpochSummaries:
         assert agg[0]["ci_high"] - agg[0]["mean"] == pytest.approx(1.96 * sem)
         with pytest.raises(ValueError):
             aggregate_runs([])
+
+    def test_runs_with_different_epochs_rejected(self):
+        short = [EpochSummary(m, 1, 0.1) for m in (1, 2)]
+        long = [EpochSummary(m, 1, 0.1) for m in (1, 2, 3)]
+        with pytest.raises(ValueError):
+            aggregate_runs([short, long])
+        with pytest.raises(ValueError):
+            aggregate_runs([long, short])

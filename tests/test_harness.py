@@ -17,9 +17,10 @@ from safebandit import (
     run_falcon_plus,
     run_safe_falcon,
 )
-from safebandit import harness
+from safebandit import cli, harness
 from safebandit.cli import main
 from safebandit.harness import (
+    CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
     TRACE_HEADER,
@@ -365,3 +366,104 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "cmp" / "compare_epochs.csv").exists()
         assert (tmp_path / "cmp" / "compare_flips.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate-rate", "--n-max", "3"],
+            ["validate-rate", "--delta", "2"],
+            ["lowerbound-check", "--K", "1"],
+            ["lowerbound-check", "--B", "0.9"],
+            ["lowerbound-check", "--seed", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_check_argument_errors_exit_code(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("flag", ["--a-out", "--b-out"])
+    def test_compare_has_no_side_out_flags(self, flag, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", flag, str(tmp_path / "side")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "side").exists()
+
+    def test_compare_writes_only_under_out(self, tmp_path, monkeypatch):
+        # a side config file's out key does not redirect compare
+        side = tmp_path / "side.cfg"
+        side.write_text(f"env = realizable-linear\ntau1 = 4\nT = 64\n"
+                        f"out = {tmp_path / 'side'}\n")
+        sides = ["--a-config", str(side), "--a-algorithm", "safe-falcon",
+                 "--b-config", str(side), "--b-algorithm", "falcon-plus"]
+        assert main(["compare", *sides, "--out", str(tmp_path / "cmp")]) == 0
+        assert sorted(p.name for p in (tmp_path / "cmp").iterdir()) == [
+            "compare_epochs.csv", "compare_flips.csv"]
+        monkeypatch.chdir(tmp_path)
+        assert main(["compare", *sides]) == 0
+        assert (tmp_path / "out" / "compare_epochs.csv").exists()
+        assert not (tmp_path / "side").exists()
+
+
+# a value other than the default for each config key, as given and as parsed
+KEY_VALUES = {
+    "algorithm": ("falcon-plus", "falcon-plus"),
+    "env": ("lower-bound", "lower-bound"),
+    "env.K": ("5", 5),
+    "env.B": ("0.01", 0.01),
+    "tau1": ("8", 8),
+    "delta": ("0.1", 0.1),
+    "T": ("256", 256),
+    "runs": ("3", 3),
+    "seed": ("7", 7),
+    "avg_epoch_test": ("yes", True),
+    "out": ("results", "results"),
+}
+
+
+class TestConfigKeySpellings:
+    """Every key of CONFIG_KEYS reaches its field, with the field's type,
+    from a config file, from its run flag and from compare's side flags."""
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        configs = []
+
+        def fake_run(cfg):
+            configs.append(cfg)
+            return {"trace": "t", "epochs": "e", "svg": "s"}
+
+        def fake_compare(cfg_a, cfg_b):
+            configs.extend((cfg_a, cfg_b))
+            return {"epochs": "e", "flips": "f"}
+
+        monkeypatch.setattr(cli, "run_experiment", fake_run)
+        monkeypatch.setattr(cli, "compare_experiments", fake_compare)
+        return configs
+
+    @staticmethod
+    def assert_lands(cfg, key):
+        field = CONFIG_KEYS[key][0]
+        expected = KEY_VALUES[key][1]
+        value = getattr(cfg, field)
+        assert value == expected and type(value) is type(expected)
+
+    @pytest.mark.parametrize("key", CONFIG_KEYS)
+    def test_config_file(self, key, captured, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"{key} = {KEY_VALUES[key][0]}\n")
+        assert main(["run", "--config", str(path)]) == 0
+        self.assert_lands(captured[0], key)
+
+    @pytest.mark.parametrize("key", CONFIG_KEYS)
+    def test_run_flag(self, key, captured):
+        assert main(["run", CONFIG_KEYS[key][1], KEY_VALUES[key][0]]) == 0
+        self.assert_lands(captured[0], key)
+
+    @pytest.mark.parametrize("key", [k for k in CONFIG_KEYS if k != "out"])
+    @pytest.mark.parametrize("side", [0, 1], ids=["a", "b"])
+    def test_compare_flag(self, key, side, captured):
+        flag = f"--{'ab'[side]}-{CONFIG_KEYS[key][1][2:]}"
+        assert main(["compare", flag, KEY_VALUES[key][0]]) == 0
+        self.assert_lands(captured[side], key)
+        assert captured[1 - side] == ExperimentConfig()
