@@ -124,7 +124,8 @@ def gamma_m(
 
 
 def l_prime(m: int, rewards, delta_prime: float) -> float:
-    """Hoeffding lower bound on the value of the policy used in epoch m."""
+    """Hoeffding lower bound on the value of the policy used in epoch m. The
+    width assumes rewards in [0, 1]; intro-example's rewards are unbounded."""
     rewards = np.asarray(rewards, dtype=float)
     n = len(rewards)
     if n == 0:
@@ -172,7 +173,8 @@ def lower_bound_L(
     """Cumulative-reward floor L_t whose violation signals misspecification.
 
     The exploration sum runs over rounds tau_1 + 1 .. t, grouped by epoch
-    since the summand is constant within an epoch.
+    since the summand is constant within an epoch. The sqrt(2t log) term
+    assumes rewards in [0, 1]; intro-example's rewards are unbounded.
     """
     if m < 2:
         raise ValueError("L_t is only defined from epoch 2 onward")
@@ -218,7 +220,8 @@ def avg_epoch_check(
     K: int,
 ) -> bool:
     """Secondary test: the running within-epoch average reward must stay above
-    l_{m-1} minus the exploration and concentration widths."""
+    l_{m-1} minus the exploration and concentration widths. The concentration
+    width assumes rewards in [0, 1]; intro-example's rewards are unbounded."""
     if m < 2:
         raise ValueError("checks only run from epoch 2 onward")
     n_in_epoch = t - schedule.tau(m - 1)

@@ -22,7 +22,7 @@ MAX_POLICY_SPACE = 3**6
 def _model_table(model, env: TabularEnv) -> np.ndarray:
     if isinstance(model, np.ndarray):
         return model
-    return np.vstack([model.values(i) for i in range(env.n_contexts)])
+    return model.values_batch(np.arange(env.n_contexts)[:, None])
 
 
 def tabular_kernel_family(
@@ -50,16 +50,13 @@ def average_misspecification_tabular(
     squared error against the true table; returns the square root."""
     if len(models) == 0:
         raise ValueError("model list must be non-empty")
+    tables = [_model_table(model, env) for model in models]
     if kernels is None:
-        kernels = tabular_kernel_family(env, models)
+        kernels = tabular_kernel_family(env, tables)
     mu = env.context_probs
     best = 0.0
     for p in kernels:
-        inner = math.inf
-        for model in models:
-            table = _model_table(model, env)
-            err = float(np.sum(mu[:, None] * p * (table - env.table) ** 2))
-            inner = min(inner, err)
+        inner = min(float(np.sum(mu[:, None] * p * (table - env.table) ** 2)) for table in tables)
         best = max(best, inner)
     return math.sqrt(best)
 
@@ -67,14 +64,10 @@ def average_misspecification_tabular(
 def lower_bound_instance_regret(K: int, B: float, g) -> float:
     """Expected instantaneous regret of the context-blind randomized policy g
     on the lower-bound instance; independent of g and >= sqrt(K B / 2)."""
-    if K < 2:
-        raise ValueError("K must be >= 2")
-    if not 0.0 <= B <= 1.0 / (2 * K):
-        raise ValueError("B must lie in [0, 1/(2K)]")
+    alpha = LowerBoundEnv(K, B).alpha
     g = np.asarray(g, dtype=float)
     if len(g) != K or np.any(g < 0) or abs(g.sum() - 1.0) > 1e-9:
         raise ValueError("g must be a distribution over the K arms")
-    alpha = math.sqrt(K * K * B / (K - 1))
     # R(pi*) = alpha; every constant-arm policy has value alpha / K.
     regret = float(np.sum(g * (alpha - alpha / K)))
     bound = math.sqrt(K * B / 2.0)
@@ -98,7 +91,7 @@ def lower_bound_sqrt_b_bruteforce(
     # midpoints of a uniform grid on (0, K); equal cells per unit interval
     n = K * cells_per_arm
     xs = (np.arange(n) + 0.5) * (K / n)
-    table = np.vstack([env.true_values(x) for x in xs])
+    table = env.means_batch(xs[:, None])
     w = np.full(n, 1.0 / n)
     means = w @ table
     mse = w @ (table - means) ** 2  # per-arm min over constant models

@@ -7,11 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _one_row(x) -> np.ndarray:
-    """One context (a scalar or a 1-d array) as a batch of one row."""
-    return np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-
-
 class OutcomeModel:
     """Deterministic map from (context, arm) to a mean reward in [0, 1].
 
@@ -25,7 +20,8 @@ class OutcomeModel:
         raise NotImplementedError
 
     def values(self, x) -> np.ndarray:
-        return self.values_batch(_one_row(x))[0]
+        # one context, a scalar or a 1-d array, as a batch of one row
+        return self.values_batch(np.atleast_1d(np.asarray(x, dtype=float))[None, :])[0]
 
 
 class ConstantModel(OutcomeModel):

@@ -6,39 +6,41 @@ import math
 
 import numpy as np
 
-from .core import LinearPerArmModel, _one_row
+from .core import LinearPerArmModel
 
 
 class BanditEnvironment:
     """Stationary environment: a context distribution, true means, rewards.
 
+    ``means_batch(X)`` maps (n, dim) contexts to the (n, K) true means.
     ``sample_batch(rng, n)`` draws n rounds at once as arrays: contexts
     (n, dim), means (n, K) and realized rewards (n, K). The algorithm may
     only look at the chosen arm's reward, but traces record the full vector
     so realized counterfactual regret is well defined. ``sample(rng)`` draws
     one round as (context, mean vector, reward vector).
 
-    Subclasses override one of the two. A stateless environment overrides
-    ``sample_batch``, and ``sample`` returns row 0 of a batch of one. A
-    stateful one overrides ``sample``, and the default ``sample_batch`` calls
-    it once per round, in order.
+    Subclasses override one of the two samplers. A stateless environment
+    overrides ``sample_batch``, and ``sample`` returns row 0 of a batch of
+    one. A stateful one overrides ``sample``, and the default
+    ``sample_batch`` calls it once per round, in order.
     """
 
     K: int
     dim: int
-    optimal_value: float | None = None  # R(pi*) when known analytically
+
+    def means_batch(self, X) -> np.ndarray:
+        raise NotImplementedError
 
     def sample(self, rng: np.random.Generator):
         X, means, rewards = self.sample_batch(rng, 1)
         return X[0], means[0], rewards[0]
 
     def sample_batch(self, rng: np.random.Generator, n: int):
+        if type(self).sample is BanditEnvironment.sample:
+            raise NotImplementedError("override sample or sample_batch")
         xs, means, rewards = zip(*(self.sample(rng) for _ in range(n)))
         X = np.array([np.atleast_1d(x) for x in xs], dtype=float)
         return X, np.array(means, dtype=float), np.array(rewards, dtype=float)
-
-    def true_values(self, x) -> np.ndarray:
-        raise NotImplementedError
 
 
 class IntroExampleEnv(BanditEnvironment):
@@ -51,10 +53,9 @@ class IntroExampleEnv(BanditEnvironment):
 
     K = 2
     dim = 1
-    optimal_value = 0.75
 
     @staticmethod
-    def _means(X) -> np.ndarray:
+    def means_batch(X) -> np.ndarray:
         means = np.empty((len(X), 2))
         means[:, 0] = X[:, 0] > 0.5
         means[:, 1] = 0.5
@@ -62,11 +63,8 @@ class IntroExampleEnv(BanditEnvironment):
 
     def sample_batch(self, rng, n):
         X = rng.random((n, 1))
-        means = self._means(X)
+        means = self.means_batch(X)
         return X, means, means + rng.standard_normal((n, 2))
-
-    def true_values(self, x) -> np.ndarray:
-        return self._means(_one_row(x))[0]
 
 
 class LowerBoundEnv(BanditEnvironment):
@@ -84,25 +82,21 @@ class LowerBoundEnv(BanditEnvironment):
         self.dim = 1
         self.B = B
         self.alpha = math.sqrt(K * K * B / (K - 1))
-        self.optimal_value = self.alpha
 
     @property
     def per_arm_variance(self) -> float:
         """Var_x f*(x, a), identical for every arm; equals B."""
         return self.alpha**2 * (self.K - 1) / self.K**2
 
-    def _means(self, X) -> np.ndarray:
+    def means_batch(self, X) -> np.ndarray:
         arm = np.clip(np.ceil(X[:, 0]) - 1, 0, self.K - 1).astype(int)
         means = np.zeros((len(X), self.K))
         means[np.arange(len(X)), arm] = self.alpha
         return means
 
-    def true_values(self, x) -> np.ndarray:
-        return self._means(_one_row(x))[0]
-
     def sample_batch(self, rng, n):
         X = rng.random((n, 1)) * self.K
-        means = self._means(X)
+        means = self.means_batch(X)
         return X, means, means.copy()
 
 
@@ -112,19 +106,18 @@ class RealizableLinearEnv(BanditEnvironment):
     """
 
     def __init__(self, intercepts, slopes):
-        self.intercepts = np.asarray(intercepts, dtype=float)
-        self.slopes = np.atleast_2d(np.asarray(slopes, dtype=float))
-        self.K = len(self.intercepts)
-        self.dim = self.slopes.shape[1]
         # the true means are exactly a member of the oracle's model class
-        self._truth = LinearPerArmModel(self.intercepts, self.slopes)
+        self._truth = LinearPerArmModel(intercepts, slopes)
+        self.intercepts = self._truth.intercepts
+        self.slopes = self._truth.slopes
+        self.K, self.dim = self.slopes.shape
 
-    def true_values(self, x) -> np.ndarray:
-        return self._truth.values(x)
+    def means_batch(self, X) -> np.ndarray:
+        return self._truth.values_batch(X)
 
     def sample_batch(self, rng, n):
         X = rng.random((n, self.dim))
-        means = self._truth.values_batch(X)
+        means = self.means_batch(X)
         noise = rng.uniform(-0.1, 0.1, (n, self.K))
         return X, means, np.clip(means + noise, 0.0, 1.0)
 
@@ -163,12 +156,12 @@ class TabularEnv(BanditEnvironment):
             raise ValueError("context_probs must be a distribution")
         self._cum = np.cumsum(self.context_probs)
 
-    def true_values(self, x) -> np.ndarray:
-        return self.table[int(x)]
+    def means_batch(self, X) -> np.ndarray:
+        return self.table[np.asarray(X)[:, 0].astype(int)]
 
     def sample_batch(self, rng, n):
         i = np.minimum(np.searchsorted(self._cum, rng.random(n)), self.n_contexts - 1)
-        means = self.table[i]
+        means = self.means_batch(i[:, None])
         rewards = (rng.random((n, self.K)) < means).astype(float)
         return i[:, None].astype(float), means, rewards
 

@@ -58,12 +58,11 @@ class CommonRate(EstimationRate):
 
 @dataclass
 class RateValidationReport:
-    ok: bool
     failures: list = field(default_factory=list)
 
-    def add(self, message: str):
-        self.ok = False
-        self.failures.append(message)
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def validate_rate(
@@ -79,23 +78,28 @@ def validate_rate(
     n = 3 onward, and below that zeta = delta/ln(n) exceeds delta anyway.
     Condition 2: xi(n, zeta) >= ln(1/zeta)/n, checked on a geometric subgrid
     of n crossed with a fixed zeta grid plus delta/ln(n).
+    A NaN or infinite xi anywhere on either grid is a failure too.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
-    report = RateValidationReport(ok=True)
+    failures = []
 
     n = np.arange(3, n_max + 1, dtype=float)
     seq = np.asarray(rate.xi(n, delta / np.log(n)), dtype=float)
-    diffs = np.diff(seq)
-    bad = np.nonzero(diffs > 1e-12)[0]
+    bad = np.nonzero(~np.isfinite(seq))[0]
     if bad.size:
         i = int(bad[0])
-        report.add(
-            "monotonicity violated at n=%d: xi=%.6g -> xi=%.6g"
-            % (int(n[i]), seq[i], seq[i + 1])
-        )
+        failures.append("xi not finite at n=%d, zeta=delta/ln(n): xi=%g" % (int(n[i]), seq[i]))
+    else:
+        bad = np.nonzero(np.diff(seq) > 1e-12)[0]
+        if bad.size:
+            i = int(bad[0])
+            failures.append(
+                "monotonicity violated at n=%d: xi=%.6g -> xi=%.6g"
+                % (int(n[i]), seq[i], seq[i + 1])
+            )
 
     n_grid = np.unique(
         np.concatenate(
@@ -105,29 +109,24 @@ def validate_rate(
             ]
         )
     ).astype(float)
-    for zeta in zeta_grid:
-        vals = np.asarray(rate.xi(n_grid, zeta), dtype=float)
-        floor = math.log(1.0 / zeta) / n_grid
-        bad = np.nonzero(vals < floor - 1e-12)[0]
-        if bad.size:
-            i = int(bad[0])
-            report.add(
-                "floor violated at n=%d, zeta=%g: xi=%.6g < %.6g"
-                % (int(n_grid[i]), zeta, vals[i], floor[i])
-            )
-            break
-    # zeta tied to n, as used by the epoch schedule
-    zeta_n = delta / np.log(np.maximum(n_grid, 3.0))
-    vals = np.asarray(rate.xi(n_grid, zeta_n), dtype=float)
-    floor = np.log(1.0 / zeta_n) / n_grid
-    bad = np.nonzero(vals < floor - 1e-12)[0]
-    if bad.size:
-        i = int(bad[0])
-        report.add(
-            "floor violated at n=%d, zeta=delta/ln(n): xi=%.6g < %.6g"
-            % (int(n_grid[i]), vals[i], floor[i])
-        )
-    return report
+    zeta_n = delta / np.log(np.maximum(n_grid, 3.0))  # as the epoch schedule ties it to n
+    fixed = [(zeta, math.log(1.0 / zeta), "%g" % zeta) for zeta in zeta_grid]
+    tied = [(zeta_n, np.log(1.0 / zeta_n), "delta/ln(n)")]
+    # at most one failure from each group: the fixed grid's first failing zeta
+    for group in (fixed, tied):
+        for zeta, log_inv_zeta, name in group:
+            vals = np.asarray(rate.xi(n_grid, zeta), dtype=float)
+            floor = log_inv_zeta / n_grid
+            bad = np.nonzero(~(np.isfinite(vals) & (vals >= floor - 1e-12)))[0]
+            if bad.size:
+                i = int(bad[0])
+                where = "at n=%d, zeta=%s: xi=" % (int(n_grid[i]), name)
+                if np.isfinite(vals[i]):
+                    failures.append("floor violated " + where + "%.6g < %.6g" % (vals[i], floor[i]))
+                else:
+                    failures.append("xi not finite " + where + "%g" % vals[i])
+                break
+    return RateValidationReport(failures)
 
 
 @dataclass(frozen=True)
@@ -156,8 +155,9 @@ class RegressionOracle:
 class LinearPerArmOracle(RegressionOracle):
     """Ordinary least squares of reward on (1, context), separately per arm.
 
-    Arms with no samples predict 0.5; degenerate designs (fewer samples than
-    coefficients, or rank-deficient) fall back to an intercept-only fit.
+    Arms with no samples predict 0.5; a design of rank below dim + 1 (as any
+    with no more samples than context dims has) falls back to an
+    intercept-only fit: the mean reward, with zero slopes.
     """
 
     def __init__(self, K: int, dim: int = 1):
@@ -181,9 +181,6 @@ class LinearPerArmOracle(RegressionOracle):
                 continue
             xa = xs[mask]
             ra = rewards[mask]
-            if n <= self.dim:
-                intercepts[a] = ra.mean()
-                continue
             design = np.hstack([np.ones((n, 1)), xa])
             coef, _, rank, _ = np.linalg.lstsq(design, ra, rcond=None)
             if rank < self.dim + 1:

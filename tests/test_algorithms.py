@@ -153,12 +153,41 @@ def straight_line_L(t, m, l_prev, tau1, delta, K, rate):
     return t * l_prev - tau1 - width - EXPLORATION_CONSTANT * math.sqrt(K) * total
 
 
+def straight_line_avg_threshold(t, m, l_prev, tau1, delta, K):
+    """Independent transcription of the average-epoch test's threshold, with
+    the chi-squared rate written out."""
+    dp = delta / 13.0
+
+    def tau(j):
+        return 0 if j == 0 else tau1 * 2 ** (j - 1)
+
+    n_prev = tau(m - 1) - tau(m - 2)
+    xi = -2.0 * math.log(dp / m**2) / n_prev
+    n_in_epoch = t - tau(m - 1)
+    log_term = math.log(math.ceil(m + math.log2(tau1)) ** 3 / dp)
+    return (
+        l_prev
+        - EXPLORATION_CONSTANT * math.sqrt(K) * math.sqrt(xi)
+        - math.sqrt(2.0 / n_in_epoch * log_term)
+    )
+
+
 class TestLowerBoundL:
     def test_matches_independent_transcription(self):
         dp = 0.05 / 13
-        for t, m, l_prev in [(4, 2, 0.4), (8, 3, 0.6), (23, 5, 0.55), (64, 6, 0.7)]:
-            got = lower_bound_L(t, m, l_prev, EpochSchedule(2), RATE, dp, 2)
-            want = straight_line_L(t, m, l_prev, 2, 0.05, 2, RATE)
+        cases = [
+            (4, 2, 0.4, 2, 2),
+            (8, 3, 0.6, 2, 2),
+            (23, 5, 0.55, 2, 2),
+            (64, 6, 0.7, 2, 2),
+            (9, 2, 0.4, 8, 2),
+            (40, 4, 0.6, 8, 2),
+            (23, 5, 0.55, 2, 5),
+            (100, 5, 0.7, 8, 5),
+        ]
+        for t, m, l_prev, tau1, K in cases:
+            got = lower_bound_L(t, m, l_prev, EpochSchedule(tau1), RATE, dp, K)
+            want = straight_line_L(t, m, l_prev, tau1, 0.05, K, RATE)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_linear_in_l_prev(self):
@@ -191,6 +220,20 @@ class TestChecks:
         # t - tau_{m-1} = 1: widths are huge, mean 0 still passes for small l
         s = EpochSchedule(2)
         assert avg_epoch_check(s.tau(1) + 1, 2, 0.1, 0.0, s, RATE, 0.05 / 13, 2)
+
+    @pytest.mark.parametrize("tau1", [2, 8, 64])
+    @pytest.mark.parametrize("K", [2, 5])
+    @pytest.mark.parametrize("delta", [0.05, 0.3])
+    @pytest.mark.parametrize("l_prev", [0.0, 0.6])
+    def test_avg_epoch_threshold_matches_transcription(self, tau1, K, delta, l_prev):
+        s = EpochSchedule(tau1)
+        dp = delta / 13.0
+        for m in range(2, 11):
+            for t in safety_check_times(m, s):
+                threshold = straight_line_avg_threshold(t, m, l_prev, tau1, delta, K)
+                tol = 1e-9 * max(1.0, abs(threshold))
+                assert avg_epoch_check(t, m, l_prev, threshold + tol, s, RATE, dp, K)
+                assert not avg_epoch_check(t, m, l_prev, threshold - tol, s, RATE, dp, K)
 
     def test_avg_epoch_fails_on_large_deficit(self):
         # huge epoch: widths are small, a deeply negative mean must fail

@@ -8,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safebandit import (
+    AlgorithmConfig,
+    BanditEnvironment,
     IntroExampleEnv,
+    LinearPerArmOracle,
     LowerBoundEnv,
     RealizableLinearEnv,
     TabularEnv,
     realizable_linear_env,
+    run_safe_falcon,
 )
 
 
@@ -23,9 +27,8 @@ def _rng(seed=0):
 class TestIntroExampleEnv:
     def test_true_values(self):
         env = IntroExampleEnv()
-        np.testing.assert_allclose(env.true_values(0.3), [0.0, 0.5])
-        np.testing.assert_allclose(env.true_values(0.8), [1.0, 0.5])
-        assert env.optimal_value == 0.75
+        means = env.means_batch(np.array([[0.3], [0.8]]))
+        np.testing.assert_allclose(means, [[0.0, 0.5], [1.0, 0.5]])
 
     def test_monte_carlo_means(self):
         env = IntroExampleEnv()
@@ -52,8 +55,8 @@ class TestLowerBoundEnv:
     def test_interval_payout(self):
         env = LowerBoundEnv(2, 1.0 / 16)
         # x in (0, 1] pays arm 0 (0-indexed)
-        np.testing.assert_allclose(env.true_values(0.4), [0.5, 0.0])
-        np.testing.assert_allclose(env.true_values(1.4), [0.0, 0.5])
+        means = env.means_batch(np.array([[0.4], [1.4]]))
+        np.testing.assert_allclose(means, [[0.5, 0.0], [0.0, 0.5]])
 
     def test_noiseless(self):
         env = LowerBoundEnv(3, 0.05)
@@ -84,8 +87,8 @@ class TestRealizableLinearEnv:
     def test_optimal_arm_switch(self):
         env = RealizableLinearEnv([0.3, 0.6], [[0.4], [-0.2]])
         # 0.3 + 0.4x = 0.6 - 0.2x at x = 0.5
-        assert int(np.argmax(env.true_values(0.49))) == 1
-        assert int(np.argmax(env.true_values(0.51))) == 0
+        means = env.means_batch(np.array([[0.49], [0.51]]))
+        np.testing.assert_array_equal(np.argmax(means, axis=1), [1, 0])
 
     def test_rewards_bounded(self):
         env = realizable_linear_env(3, dim=1, coefficient_seed=42)
@@ -98,9 +101,8 @@ class TestRealizableLinearEnv:
     def test_generated_means_inside_margin(self):
         for seed in range(5):
             env = realizable_linear_env(4, dim=1, coefficient_seed=seed)
-            for x in np.linspace(0, 1, 21):
-                vals = env.true_values(x)
-                assert np.all(vals >= 0.1 - 1e-12) and np.all(vals <= 0.9 + 1e-12)
+            vals = env.means_batch(np.linspace(0, 1, 21)[:, None])
+            assert np.all(vals >= 0.1 - 1e-12) and np.all(vals <= 0.9 + 1e-12)
 
     def test_rejects_fewer_than_two_arms(self):
         for K in (1, 0, -3):
@@ -158,3 +160,27 @@ def test_one_row_equals_first_batch_row(env, seed, n):
     X, batch_means, batch_rewards = env.sample_batch(_rng(seed), n)
     assert X.shape == (n, env.dim)
     assert batch_means.shape == batch_rewards.shape == (n, env.K)
+
+
+@pytest.mark.parametrize("env", BUILT_IN_ENVIRONMENTS, ids=lambda e: type(e).__name__)
+def test_sample_batch_means_equal_means_batch(env):
+    X, means, _ = env.sample_batch(_rng(8), 50)
+    np.testing.assert_array_equal(env.means_batch(X), means)
+
+
+def test_environment_without_sampler_raises():
+    class Bare(BanditEnvironment):
+        K = 2
+        dim = 1
+
+    cfg = AlgorithmConfig(tau1=2, delta=0.05, horizon=8)
+    draws = [
+        lambda env: env.sample(_rng()),
+        lambda env: env.sample_batch(_rng(), 3),
+        lambda env: run_safe_falcon(env, LinearPerArmOracle(2, 1), cfg, seed=0),
+    ]
+    for draw in draws:
+        with pytest.raises(NotImplementedError, match="override sample or sample_batch"):
+            draw(Bare())
+    with pytest.raises(NotImplementedError):
+        Bare().means_batch(np.zeros((1, 1)))

@@ -347,6 +347,13 @@ class TestCli:
         assert code == 3
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("C", ["nan", "inf"])
+    def test_validate_rate_non_finite_exit_code(self, C, capsys):
+        assert main(["validate-rate", "--rate", "common", "--C", C, "--n-max", "100"]) == 3
+        out = capsys.readouterr().out
+        assert f"FAIL: xi not finite at n=3, zeta=delta/ln(n): xi={C}" in out
+        assert "rate valid" not in out
+
     def test_compare_subcommand(self, tmp_path):
         out = str(tmp_path / "cmp")
         code = main(

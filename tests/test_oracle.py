@@ -70,6 +70,34 @@ class TestValidateRate:
         assert not report.ok
         assert any("monotonicity" in f for f in report.failures)
 
+    def test_nan_everywhere_fails(self):
+        rate = CommonRate(C=float("nan"), rho=1.0, rho_prime=0.0, comp=1.0)
+        report = validate_rate(rate, 0.05, 100)
+        assert not report.ok
+        assert report.failures == [
+            "xi not finite at n=3, zeta=delta/ln(n): xi=nan",
+            "xi not finite at n=2, zeta=0.001: xi=nan",
+            "xi not finite at n=2, zeta=delta/ln(n): xi=nan",
+        ]
+
+    def test_nan_at_one_n_fails(self):
+        # n = 500 is on the monotonicity grid only, not on the floor grid
+        class NanAt500(CommonRate):
+            def xi(self, n, zeta):
+                vals = super().xi(n, zeta)
+                return np.where(np.asarray(n) == 500, np.nan, vals)
+
+        rate = NanAt500(C=4.0, rho=1.0, rho_prime=0.0, comp=1.0)
+        report = validate_rate(rate, 0.05, 1000)
+        assert report.failures == ["xi not finite at n=500, zeta=delta/ln(n): xi=nan"]
+        assert validate_rate(NanAt500(4.0, 1.0, 0.0, 1.0), 0.05, 499).ok
+
+    def test_inf_fails(self):
+        rate = CommonRate(C=float("inf"), rho=1.0, rho_prime=0.0, comp=1.0)
+        report = validate_rate(rate, 0.05, 100)
+        assert not report.ok
+        assert all("xi not finite" in f and "xi=inf" in f for f in report.failures)
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             validate_rate(LinearChiSquaredRate(), 1.5, 100)
@@ -124,6 +152,15 @@ class TestLinearPerArmOracle:
     def test_single_sample_uses_mean(self):
         model = LinearPerArmOracle(K=1, dim=1).fit(dataset([(np.array([0.3]), 0, 0.7)]))
         assert model.intercepts[0] == pytest.approx(0.7)
+
+    def test_no_more_samples_than_dims_uses_mean(self):
+        # n <= dim: the design's rank is below dim + 1
+        rng = np.random.Generator(np.random.Philox(5))
+        for n in (1, 2, 3):
+            xs, rewards = rng.random((n, 3)), rng.random(n)
+            model = LinearPerArmOracle(K=1, dim=3).fit(Dataset(xs, np.zeros(n, dtype=int), rewards))
+            assert model.intercepts[0] == rewards.mean()
+            np.testing.assert_array_equal(model.slopes, np.zeros((1, 3)))
 
     def test_empty_dataset_raises(self):
         with pytest.raises(ValueError):
