@@ -46,6 +46,10 @@ class LinearPerArmModel(OutcomeModel):
         self.slopes = np.atleast_2d(np.asarray(slopes, dtype=float))
         if self.slopes.shape[0] != self.intercepts.shape[0]:
             raise ValueError("one slope row per arm required")
+        # arm-major (K, 1) views, taken once: one per context dim, and the
+        # intercepts
+        self._slope_columns = [self.slopes[:, d, None] for d in range(self.slopes.shape[1])]
+        self._intercept_column = self.intercepts[:, None]
 
     def values_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -54,8 +58,11 @@ class LinearPerArmModel(OutcomeModel):
         # BLAS product is not), and every op runs along the n rounds.
         total = np.zeros((len(self.intercepts), len(X)))
         for d in range(X.shape[1]):
-            total += self.slopes[:, d, None] * X[:, d]
-        return np.clip(self.intercepts[:, None] + total, 0.0, 1.0).T
+            total += self._slope_columns[d] * X[:, d]
+        # in place: addition commutes and the method is np.clip's ufunc, so
+        # the bits equal np.clip(intercepts + total, 0, 1)
+        total += self._intercept_column
+        return total.clip(0.0, 1.0, out=total).T
 
 
 class TabularModel(OutcomeModel):

@@ -38,9 +38,33 @@ class BanditEnvironment:
     def sample_batch(self, rng: np.random.Generator, n: int):
         if type(self).sample is BanditEnvironment.sample:
             raise NotImplementedError("override sample or sample_batch")
-        xs, means, rewards = zip(*(self.sample(rng) for _ in range(n)))
-        X = np.array([np.atleast_1d(x) for x in xs], dtype=float)
-        return X, np.array(means, dtype=float), np.array(rewards, dtype=float)
+        K, dim, sample = self.K, self.dim, self.sample
+        X, means, rewards = np.empty((n, dim)), np.empty((n, K)), np.empty((n, K))
+        for i in range(n):
+            x, m, r = sample(rng)
+            # a row of one value would broadcast into a wider row unnoticed;
+            # arrays pass on their size, anything else on np.size
+            if (
+                getattr(x, "size", None) != dim
+                or getattr(m, "size", None) != K
+                or getattr(r, "size", None) != K
+            ):
+                _check_row(self, x, m, r)
+            X[i], means[i], rewards[i] = x, m, r
+        return X, means, rewards
+
+
+def _check_row(env, x, means, rewards):
+    """Raise unless a ``sample`` row holds dim context values and K means and
+    rewards."""
+    if np.size(x) != env.dim or np.size(means) != env.K or np.size(rewards) != env.K:
+        raise ValueError(
+            f"{type(env).__name__}.sample returned a context of shape {np.shape(x)}, "
+            f"means of shape {np.shape(means)} and rewards of shape {np.shape(rewards)}; "
+            f"expected a context of shape ({env.dim},)"
+            + (" or a scalar" if env.dim == 1 else "")
+            + f" and means and rewards of shape ({env.K},)"
+        )
 
 
 class IntroExampleEnv(BanditEnvironment):
@@ -118,8 +142,9 @@ class RealizableLinearEnv(BanditEnvironment):
     def sample_batch(self, rng, n):
         X = rng.random((n, self.dim))
         means = self.means_batch(X)
-        noise = rng.uniform(-0.1, 0.1, (n, self.K))
-        return X, means, np.clip(means + noise, 0.0, 1.0)
+        rewards = rng.uniform(-0.1, 0.1, (n, self.K))
+        rewards += means
+        return X, means, rewards.clip(0.0, 1.0, out=rewards)
 
 
 def realizable_linear_env(K: int, dim: int, coefficient_seed: int) -> RealizableLinearEnv:

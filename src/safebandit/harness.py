@@ -165,11 +165,13 @@ def write_trace_csv(path: str, traces):
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_HEADER) + "\r\n")
         for run_id, trace in enumerate(traces):
-            contexts = [";".join(map(repr, row)) for row in trace.contexts.tolist()]
-            columns = zip(
+            # one %-template per run; the context's dim values joined by ';'
+            context = ";".join(["%r"] * trace.contexts.shape[1])
+            row = f"{run_id},%s,%s,{context},%s,%r,%s,%r,%r,%s,%s\r\n"
+            columns = (
                 range(1, len(trace) + 1),
                 trace.epoch.tolist(),
-                contexts,
+                *trace.contexts.T.tolist(),
                 trace.actions.tolist(),
                 trace.rewards.tolist(),
                 trace.optimal_arms.tolist(),
@@ -178,10 +180,7 @@ def write_trace_csv(path: str, traces):
                 trace.safe.astype(int).tolist(),
                 trace.m_hat.tolist(),
             )
-            fh.writelines(
-                f"{run_id},{t},{e},{c},{a},{r!r},{o},{om!r},{rr!r},{sf},{mh}\r\n"
-                for t, e, c, a, r, o, om, rr, sf, mh in columns
-            )
+            fh.writelines(map(row.__mod__, zip(*columns)))
 
 
 def _epoch_rows(per_run, aggregate):
@@ -291,6 +290,20 @@ def first_flip_epoch(trace):
     return int(trace.epoch[trace.detection_round - 1])
 
 
+def _compare_side(cfg: ExperimentConfig):
+    """One side of a comparison: its epochs rows, keyed by algorithm, and
+    for Safe-FALCON each run's first flip epoch."""
+    traces = run_replications(cfg)
+    per_run = [epoch_summaries(t) for t in traces]
+    rows = [[cfg.algorithm] + row for row in _epoch_rows(per_run, aggregate_runs(per_run))]
+    flips = []
+    if cfg.algorithm == "safe-falcon":
+        for run_id, t in enumerate(traces):
+            flip = first_flip_epoch(t)
+            flips.append([run_id, "" if flip is None else flip])
+    return rows, flips
+
+
 def compare_experiments(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> dict:
     """Run two configs on matched environments/horizons and write a merged
     per-epoch summary plus per-run safety-flip epochs."""
@@ -307,14 +320,11 @@ def compare_experiments(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> dic
     epoch_rows = []
     flip_rows = []
     for cfg in (cfg_a, cfg_b):
-        traces = run_replications(cfg)
-        per_run = [epoch_summaries(t) for t in traces]
-        aggregate = aggregate_runs(per_run)
-        epoch_rows += ([cfg.algorithm] + row for row in _epoch_rows(per_run, aggregate))
-        if cfg.algorithm == "safe-falcon":
-            for run_id, t in enumerate(traces):
-                flip = first_flip_epoch(t)
-                flip_rows.append([run_id, "" if flip is None else flip])
+        # summarized in a call of its own, so one side's traces are freed
+        # before the other side runs
+        rows, flips = _compare_side(cfg)
+        epoch_rows += rows
+        flip_rows += flips
     _write_csv(result["epochs"], ["algorithm"] + EPOCHS_HEADER, epoch_rows)
     _write_csv(result["flips"], ["run_id", "flip_epoch"], flip_rows)
     return result

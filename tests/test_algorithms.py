@@ -249,19 +249,17 @@ class CollapseEnv(BanditEnvironment):
 
     K = 2
     dim = 1
+    pay = (0.9, 0.5)
 
     def __init__(self, collapse_at, crash):
         self.collapse_at = collapse_at
         self.crash = crash
         self.t = 0
 
-    def true_values(self, x):
-        return np.array([0.9, 0.5])
-
     def sample(self, rng):
         self.t += 1
         x = np.array([rng.random()])
-        means = self.true_values(x)
+        means = np.array(self.pay)
         if self.t > self.collapse_at:
             rewards = np.full(self.K, float(self.crash))
         else:
@@ -481,12 +479,31 @@ def _collapse(collapse_at, crash):
 class LowPayCollapseEnv(CollapseEnv):
     """CollapseEnv paying around (0.4, 0.1) before the collapse."""
 
-    def true_values(self, x):
-        return np.array([0.4, 0.1])
+    pay = (0.4, 0.1)
+
+
+class ShiftedEnv(BanditEnvironment):
+    """Lowers every arm's mean and reward by ``by`` after round ``at``."""
+
+    def __init__(self, inner, at, by):
+        self.inner, self.at, self.by = inner, at, by
+        self.K, self.dim = inner.K, inner.dim
+        self.t = 0
+
+    def sample(self, rng):
+        self.t += 1
+        x, means, rewards = self.inner.sample(rng)
+        if self.t > self.at:
+            return x, means - self.by, rewards - self.by
+        return x, means, rewards
 
 
 def _intro():
     return IntroExampleEnv()
+
+
+def _shifted_realizable_k5():
+    return ShiftedEnv(realizable_linear_env(5, 1, coefficient_seed=20210229), 2048, 5.0)
 
 
 def _realizable_k3_dim2():
@@ -514,6 +531,9 @@ REFERENCE_CASES = [
     ("horizon-mid-epoch-intro", _intro, 8, 1000, True, True, "any"),
     ("horizon-below-tau1", _intro, 8, 5, True, True, None),
     ("realizable-k3-dim2", _realizable_k3_dim2, 8, 2048, True, True, None),
+    # stateful, drawn a round at a time by the default sample_batch; the
+    # shift at round 2048 is detected at round 4224, in epoch 8
+    ("shifted-realizable-k5", _shifted_realizable_k5, 64, 4400, True, True, 4224),
     # 8 or more arms or context dims: numpy would sum such a row pairwise
     ("realizable-k9-dim9", _realizable_k9_dim9, 8, 2048, True, True, None),
     ("falcon-plus-intro", _intro, 2, 2048, False, False, None),

@@ -184,3 +184,56 @@ def test_environment_without_sampler_raises():
             draw(Bare())
     with pytest.raises(NotImplementedError):
         Bare().means_batch(np.zeros((1, 1)))
+
+
+class RowEnv(BanditEnvironment):
+    """Stateful environment whose every ``sample`` row is the one given."""
+
+    def __init__(self, K, dim, x, means, rewards):
+        self.K, self.dim = K, dim
+        self.row = x, means, rewards
+
+    def sample(self, rng):
+        return self.row
+
+
+class TestStatefulRowShapes:
+    # (K, dim, context, means, rewards) rows that fit
+    GOOD = [
+        (3, 1, np.array([0.5]), np.full(3, 0.2), np.full(3, 0.4)),
+        (3, 2, np.array([0.5, 0.25]), [0.2, 0.3, 0.4], [0.0, 1.0, 0.5]),
+        (3, 1, 2, np.full(3, 0.2), np.full(3, 0.4)),  # an int context, as TabularEnv's
+        (3, 1, 0.5, np.full(3, 0.2), np.full(3, 0.4)),
+    ]
+    BAD = {
+        "means-K+1": (3, 1, np.array([0.5]), np.full(4, 0.2), np.full(3, 0.4)),
+        "means-1": (3, 1, np.array([0.5]), np.full(1, 0.2), np.full(3, 0.4)),
+        "means-scalar": (3, 1, np.array([0.5]), 0.2, np.full(3, 0.4)),
+        "rewards-K+1": (3, 1, np.array([0.5]), np.full(3, 0.2), np.full(4, 0.4)),
+        "rewards-1": (3, 1, np.array([0.5]), np.full(3, 0.2), np.full(1, 0.4)),
+        "rewards-list-1": (3, 1, np.array([0.5]), np.full(3, 0.2), [0.4]),
+        "context-dim+1": (3, 2, np.array([0.5, 0.25, 0.1]), np.full(3, 0.2), np.full(3, 0.4)),
+        "context-1": (3, 2, np.array([0.5]), np.full(3, 0.2), np.full(3, 0.4)),
+        "int-context-dim-2": (3, 2, 2, np.full(3, 0.2), np.full(3, 0.4)),
+    }
+
+    @pytest.mark.parametrize("row", GOOD)
+    def test_rows_that_fit_are_copied(self, row):
+        K, dim, x, means, rewards = row
+        X, M, R = RowEnv(*row).sample_batch(_rng(), 5)
+        assert X.shape == (5, dim) and M.shape == R.shape == (5, K)
+        np.testing.assert_array_equal(X, np.broadcast_to(np.atleast_1d(x), (5, dim)))
+        np.testing.assert_array_equal(M, np.broadcast_to(means, (5, K)))
+        np.testing.assert_array_equal(R, np.broadcast_to(rewards, (5, K)))
+
+    @pytest.mark.parametrize("row", BAD.values(), ids=BAD.keys())
+    def test_rows_of_the_wrong_size_raise(self, row):
+        K, dim = row[:2]
+        expected = rf"RowEnv\.sample returned .*expected a context of shape \({dim},\)"
+        expected += rf".* means and rewards of shape \({K},\)"
+        with pytest.raises(ValueError, match=expected):
+            RowEnv(*row).sample_batch(_rng(), 5)
+        # before the epoch is played, not deep in the loop or the oracle
+        cfg = AlgorithmConfig(tau1=2, delta=0.05, horizon=8)
+        with pytest.raises(ValueError, match=expected):
+            run_safe_falcon(RowEnv(*row), LinearPerArmOracle(K, dim), cfg, seed=0)

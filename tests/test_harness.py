@@ -206,16 +206,29 @@ class TestTraceWriter:
         cfg = AlgorithmConfig(tau1=8, delta=0.05, horizon=1000, enable_avg_epoch_test=True)
         drop = run_safe_falcon(DropEnv(), LinearPerArmOracle(2, 1), cfg, seed=3)
         wide = realizable_linear_env(3, dim=2, coefficient_seed=4)
+        wider = realizable_linear_env(4, dim=3, coefficient_seed=6)
+        odd = run_falcon_plus(IntroExampleEnv(), LinearPerArmOracle(2, 1), cfg, seed=6)
+        # reprs in exponent form, the smallest subnormal and a negative zero
+        special = [1e-05, 1e16, 5e-324, -0.0]
+        odd.contexts[:4, 0] = special
+        odd.rewards[4:8] = special
+        odd.optimal_means[8:12] = special
         traces = [
             drop,
             run_safe_falcon(wide, LinearPerArmOracle(3, 2), cfg, seed=4),
             run_falcon_plus(LowerBoundEnv(3, 0.05), LinearPerArmOracle(3, 1), cfg, seed=5),
+            run_safe_falcon(wider, LinearPerArmOracle(4, 3), cfg, seed=7),
+            odd,
         ]
         assert drop.detection_round is not None and 300 < drop.detection_round < 1000
         assert (drop.rewards < 0).any() and traces[1].contexts.shape[1] == 2
+        assert traces[3].contexts.shape[1] == 3
         write_trace_csv(str(tmp_path / "bulk.csv"), traces)
         reference_write_trace_csv(str(tmp_path / "reference.csv"), traces)
-        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        written = (tmp_path / "bulk.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        for text in (b",1e-05,", b",1e+16,", b",5e-324,", b",-0.0,"):
+            assert text in written
 
 
 class TestCompare:

@@ -6,6 +6,11 @@ per-epoch arithmetic became arm-major: numpy reductions along the short last
 +0.0, as the arm-major code does, so for K, dim < 8 the two must agree bit for
 bit. From 8 terms on numpy switches to pairwise summation, so there the
 arm-major code must instead give one row the same bits as that row of a batch.
+
+``clip_form_values_batch`` is the arm-major model before its sum was clipped
+in place: it adds the intercepts into a new array and calls ``np.clip``.
+Addition commutes and ``ndarray.clip`` calls the same ufunc, so the two must
+agree bit for bit at any K and dim.
 """
 
 import numpy as np
@@ -36,6 +41,13 @@ def reference_draw_arms(p, u):
 def reference_values_batch(intercepts, slopes, X):
     products = X[:, None, :] * slopes
     return np.clip(intercepts + products.sum(axis=-1), 0.0, 1.0)
+
+
+def clip_form_values_batch(intercepts, slopes, X):
+    total = np.zeros((len(intercepts), len(X)))
+    for d in range(X.shape[1]):
+        total += slopes[:, d, None] * X[:, d]
+    return np.clip(intercepts[:, None] + total, 0.0, 1.0).T
 
 
 def same_bits(a, b):
@@ -105,6 +117,7 @@ def test_values_batch_equals_reference(K, dim, seed, n):
     X[rng.random((n, dim)) < 0.1] = -0.0
     got = LinearPerArmModel(intercepts, slopes).values_batch(X)
     assert same_bits(got, reference_values_batch(intercepts, slopes, X))
+    assert same_bits(got, clip_form_values_batch(intercepts, slopes, X))
 
 
 @settings(max_examples=30, deadline=None)
@@ -135,6 +148,7 @@ def test_wide_values_row_equals_batch_row(K, dim, seed, n):
     model = LinearPerArmModel(intercepts, slopes)
     X = rng.uniform(-2.0, 2.0, (n, dim))
     batch = model.values_batch(X)
+    assert same_bits(batch, clip_form_values_batch(intercepts, slopes, X))
     for i in {0, n // 2, n - 1}:
         assert same_bits(model.values(X[i]), batch[i])
     np.testing.assert_allclose(
