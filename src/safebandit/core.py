@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -144,6 +144,16 @@ class RunTrace:
 
     def __len__(self) -> int:
         return len(self.actions)
+
+    def rows(self, lo: int, hi: int) -> "RunTrace":
+        """Rounds lo + 1 .. hi: every column sliced as a view, the scalar
+        fields kept as they are."""
+        columns = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                columns[f.name] = value[lo:hi]
+        return replace(self, **columns)
 
     @property
     def realized_regret(self) -> np.ndarray:

@@ -7,6 +7,8 @@ import os
 import typing
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .algorithms import AlgorithmConfig, run_falcon_plus, run_safe_falcon
 from .analysis import aggregate_runs, epoch_summaries
 from .environments import IntroExampleEnv, LowerBoundEnv, realizable_linear_env
@@ -158,6 +160,55 @@ def run_replications(cfg: ExperimentConfig):
     return traces
 
 
+# trace.csv rows formatted and written per block: the writer's memory is set
+# by this, not by the horizon
+TRACE_BLOCK_ROWS = 4096
+
+
+def _format_repeated(col, fmt):
+    """``fmt`` of each entry of a column with few distinct values: called
+    once per distinct value and gathered back into row order. Floats are
+    told apart by their bits, so -0.0 and 0.0 (and NaN payloads) keep their
+    own ``repr``."""
+    floats = col.dtype == np.float64
+    distinct, inverse = np.unique(col.view(np.int64) if floats else col, return_inverse=True)
+    if floats:
+        distinct = distinct.view(np.float64)
+    table = np.array(list(map(fmt, distinct.tolist())), dtype=object)
+    return table[inverse].tolist()
+
+
+def _write_trace_block(fh, prefix: str, lo: int, block):
+    """Rows lo + 1 .. lo + len(block) of one run. Each column is formatted
+    as a whole and carries the separators around it, so a row is the plain
+    concatenation of its pieces:
+
+        run_id, | t | ,epoch, | ctx_0 | ; | ctx_1 ... | ,action, | reward |
+        ,optimal_arm, | optimal_mean, | regret, | safe,m_hat\\r\\n
+
+    Columns with few distinct values are formatted once per value."""
+    n, dim = block.contexts.shape
+    width = 2 * dim + 8  # pieces per row; ctx_d sits at 3 + 2d
+    # every slot not assigned below is a ';' between context dims
+    parts = [";"] * (n * width)
+    parts[0::width] = [prefix] * n
+    parts[1::width] = map(str, range(lo + 1, lo + n + 1))
+    parts[2::width] = _format_repeated(block.epoch, ",{},".format)
+    for d in range(dim):
+        parts[3 + 2 * d :: width] = map(repr, block.contexts[:, d].tolist())
+    k = 2 * dim + 2
+    parts[k::width] = _format_repeated(block.actions, ",{},".format)
+    parts[k + 1 :: width] = map(repr, block.rewards.tolist())
+    parts[k + 2 :: width] = _format_repeated(block.optimal_arms, ",{},".format)
+    parts[k + 3 :: width] = _format_repeated(block.optimal_means, "{!r},".format)
+    parts[k + 4 :: width] = _format_repeated(block.realized_regret, "{!r},".format)
+    # safe and m_hat fused into one key: 2 * m_hat + safe
+    parts[k + 5 :: width] = _format_repeated(
+        2 * block.m_hat + block.safe, lambda key: f"{key & 1},{key >> 1}\r\n"
+    )
+    fh.write("".join(parts))
+
+
 def write_trace_csv(path: str, traces):
     """One row per (run, round), in the csv module's excel dialect: no field
     can hold a comma or a quote, so none is quoted, and rows end in \\r\\n.
@@ -165,22 +216,9 @@ def write_trace_csv(path: str, traces):
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_HEADER) + "\r\n")
         for run_id, trace in enumerate(traces):
-            # one %-template per run; the context's dim values joined by ';'
-            context = ";".join(["%r"] * trace.contexts.shape[1])
-            row = f"{run_id},%s,%s,{context},%s,%r,%s,%r,%r,%s,%s\r\n"
-            columns = (
-                range(1, len(trace) + 1),
-                trace.epoch.tolist(),
-                *trace.contexts.T.tolist(),
-                trace.actions.tolist(),
-                trace.rewards.tolist(),
-                trace.optimal_arms.tolist(),
-                trace.optimal_means.tolist(),
-                trace.realized_regret.tolist(),
-                trace.safe.astype(int).tolist(),
-                trace.m_hat.tolist(),
-            )
-            fh.writelines(map(row.__mod__, zip(*columns)))
+            for lo in range(0, len(trace), TRACE_BLOCK_ROWS):
+                block = trace.rows(lo, lo + TRACE_BLOCK_ROWS)
+                _write_trace_block(fh, f"{run_id},", lo, block)
 
 
 def _epoch_rows(per_run, aggregate):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safebandit import (
     AlgorithmConfig,
@@ -204,6 +206,37 @@ class TestLowerBoundL:
     def test_epoch_one_rejected(self):
         with pytest.raises(ValueError):
             lower_bound_L(2, 1, 0.0, EpochSchedule(2), RATE, 0.05 / 13, 2)
+
+
+# largest round the drawn checks reach
+MAX_CHECK_ROUND = 2**14
+
+
+@st.composite
+def check_rounds(draw):
+    """(tau1, m, t) with t a round of epoch m >= 2 and t <= MAX_CHECK_ROUND."""
+    tau1 = draw(st.integers(2, 64))
+    s = EpochSchedule(tau1)
+    m = draw(st.integers(2, s.epoch_of(MAX_CHECK_ROUND)))
+    t = draw(st.integers(s.tau(m - 1) + 1, min(s.tau(m), MAX_CHECK_ROUND)))
+    return tau1, m, t
+
+
+@settings(max_examples=60, deadline=None)
+@given(rounds=check_rounds(), K=st.integers(2, 9), l_prev=st.floats(0.0, 1.0))
+def test_tests_match_transcriptions_at_any_round(rounds, K, l_prev):
+    """Both tests' thresholds against their transcriptions, at rounds far
+    past the tabulated cases: detection rounds alone cannot see an error in
+    L_t, since the average test fires first on the test environments."""
+    tau1, m, t = rounds
+    s = EpochSchedule(tau1)
+    dp = 0.05 / 13
+    got = lower_bound_L(t, m, l_prev, s, RATE, dp, K)
+    assert got == pytest.approx(straight_line_L(t, m, l_prev, tau1, 0.05, K, RATE), rel=1e-12)
+    threshold = straight_line_avg_threshold(t, m, l_prev, tau1, 0.05, K)
+    tol = 1e-12 * abs(threshold)
+    assert avg_epoch_check(t, m, l_prev, threshold + tol, s, RATE, dp, K)
+    assert not avg_epoch_check(t, m, l_prev, threshold - tol, s, RATE, dp, K)
 
 
 class TestChecks:

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -201,6 +202,31 @@ class DropEnv(BanditEnvironment):
         return x, means, rewards - (50.0 if self.t > 300 else 0.0)
 
 
+def multi_block_trace():
+    """A Safe-FALCON trace over three writer blocks, the last one partial,
+    with K = 11 (two-digit arms) and dim 2, edited by hand where the writer
+    formats each distinct value once."""
+    block = harness.TRACE_BLOCK_ROWS
+    horizon = 2 * block + block // 2 + 1
+    cfg = AlgorithmConfig(tau1=8, delta=0.05, horizon=horizon, enable_avg_epoch_test=True)
+    env = realizable_linear_env(11, dim=2, coefficient_seed=8)
+    trace = run_safe_falcon(env, LinearPerArmOracle(11, 2), cfg, seed=9)
+    # two-digit fallback indices and failed checks, across a block edge
+    trace.m_hat[block - 5 : block + 5] = 12
+    trace.safe[block : block + 3] = False
+    # values told apart only by their bits, across a block edge: optimal
+    # means and, with a reward of 0.0, realized regrets
+    payload_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+    special = [-0.0, 0.0, np.nan, -np.nan, payload_nan, np.inf, -np.inf]
+    rows = np.arange(2 * block - 3, 2 * block - 3 + len(special))
+    trace.optimal_means[rows] = special
+    trace.rewards[rows] = 0.0
+    trace.reward_vectors[rows, trace.optimal_arms[rows]] = special
+    assert len(trace) % block and trace.contexts.shape[1] == 2
+    assert (trace.actions >= 10).any() and (trace.optimal_arms >= 10).any()
+    return trace
+
+
 class TestTraceWriter:
     def test_bytes_equal_the_csv_module_reference(self, tmp_path):
         cfg = AlgorithmConfig(tau1=8, delta=0.05, horizon=1000, enable_avg_epoch_test=True)
@@ -219,8 +245,10 @@ class TestTraceWriter:
             run_falcon_plus(LowerBoundEnv(3, 0.05), LinearPerArmOracle(3, 1), cfg, seed=5),
             run_safe_falcon(wider, LinearPerArmOracle(4, 3), cfg, seed=7),
             odd,
+            multi_block_trace(),
         ]
         assert drop.detection_round is not None and 300 < drop.detection_round < 1000
+        assert not drop.safe.all()
         assert (drop.rewards < 0).any() and traces[1].contexts.shape[1] == 2
         assert traces[3].contexts.shape[1] == 3
         write_trace_csv(str(tmp_path / "bulk.csv"), traces)
@@ -229,6 +257,21 @@ class TestTraceWriter:
         assert written == (tmp_path / "reference.csv").read_bytes()
         for text in (b",1e-05,", b",1e+16,", b",5e-324,", b",-0.0,"):
             assert text in written
+        for text in (b",0,12\r\n", b",1,12\r\n", b",-0.0,-0.0,", b",nan,nan,", b",-inf,-inf,"):
+            assert text in written
+
+    def test_memory_does_not_grow_with_the_horizon(self, tmp_path):
+        def peak(horizon):
+            cfg = AlgorithmConfig(tau1=2, delta=0.05, horizon=horizon, enable_avg_epoch_test=True)
+            trace = run_safe_falcon(IntroExampleEnv(), LinearPerArmOracle(2, 1), cfg, seed=0)
+            tracemalloc.start()
+            try:
+                write_trace_csv(str(tmp_path / "trace.csv"), [trace])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2**17) <= 1.5 * peak(2**13)
 
 
 class TestCompare:
