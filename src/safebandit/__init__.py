@@ -13,6 +13,7 @@ from .algorithms import (
     run_falcon_plus,
     run_safe_falcon,
     safety_check_times,
+    thresholds,
 )
 from .core import (
     ConstantModel,

@@ -102,9 +102,7 @@ def _draw_arms(p: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _xi_epoch(m, schedule: EpochSchedule, rate: EstimationRate, delta_prime: float):
     """Estimation rate used in epoch m >= 2 (an int, or an int array of
     epochs): xi at the previous epoch's size and confidence delta' / m^2."""
-    # epoch_size(m - 1): epochs 1 and 2 hold tau_1 rounds, then sizes double
-    n_prev = schedule.tau1 << (m - 3 + (m == 2))
-    return rate.xi(n_prev, delta_prime / m**2)
+    return rate.xi(schedule.epoch_size(m - 1), delta_prime / m**2)
 
 
 def gamma_m(
@@ -157,8 +155,50 @@ def safety_check_times(m: int, schedule: EpochSchedule) -> list[int]:
     return sorted(times)
 
 
-def _log_term(m: int, tau1: int, delta_prime: float) -> float:
-    return math.log(math.ceil(m + math.log2(tau1)) ** 3 / delta_prime)
+def thresholds(
+    ts,
+    m: int,
+    l_prev: float,
+    schedule: EpochSchedule,
+    rate: EstimationRate,
+    delta_prime: float,
+    K: int,
+):
+    """Both misspecification tests' floors at the rounds ``ts`` (an int or an
+    int array) of epoch m >= 2, given l_{m-1} = ``l_prev``. Returns (L_t,
+    average floor), each shaped like ``ts``:
+
+        L_t     = t l_{m-1} - tau_1 - sqrt(2 t log_m) - c sqrt(K) S_t
+        average = l_{m-1} - c sqrt(K) sqrt(xi_m) - sqrt(2 log_m / (t - tau_{m-1}))
+
+    The cumulative test fails when Crwd_t < L_t, the average test when the
+    mean reward over rounds tau_{m-1} + 1 .. t is below the average floor.
+    Here c = ``EXPLORATION_CONSTANT``, log_m = log(ceil(m + log2 tau_1)^3 /
+    delta'), xi_e = rate.xi(epoch_size(e - 1), delta' / e^2) is the rate of
+    epoch e, and S_t sums sqrt(xi_e) over the rounds tau_1 + 1 .. t, each
+    round taking its own epoch's e. Both sqrt(2 ... log_m) widths are
+    concentration widths for rewards in [0, 1]; intro-example's rewards are
+    unbounded.
+
+    Raises ValueError for m < 2 and for any round outside (tau_{m-1}, tau_m].
+    """
+    if m < 2:
+        raise ValueError("checks only run from epoch 2 onward")
+    lo, hi = schedule.tau(m - 1), schedule.tau(m)
+    ts = np.asarray(ts)
+    if ((ts <= lo) | (ts > hi)).any():
+        raise ValueError(f"check rounds must lie in epoch {m}, rounds {lo + 1}..{hi}")
+    epochs = np.arange(2, m + 1)
+    sqrt_xi = np.sqrt(_xi_epoch(epochs, schedule, rate, delta_prime))
+    # S_t: the summand is constant within an epoch; the full epochs' terms are
+    # added in epoch order, then epoch m's rounds so far
+    full = np.cumsum(np.r_[0.0, schedule.epoch_size(epochs[:-1]) * sqrt_xi[:-1]])[-1]
+    explored = full + (ts - lo) * sqrt_xi[-1]
+    log_m = math.log(math.ceil(m + math.log2(schedule.tau1)) ** 3 / delta_prime)
+    scale = EXPLORATION_CONSTANT * math.sqrt(K)
+    floor = ts * l_prev - schedule.tau1 - np.sqrt(2 * ts * log_m) - scale * explored
+    avg_floor = l_prev - scale * sqrt_xi[-1] - np.sqrt(2.0 / (ts - lo) * log_m)
+    return floor, avg_floor
 
 
 def lower_bound_L(
@@ -170,29 +210,8 @@ def lower_bound_L(
     delta_prime: float,
     K: int,
 ) -> float:
-    """Cumulative-reward floor L_t whose violation signals misspecification.
-
-    The exploration sum runs over rounds tau_1 + 1 .. t, grouped by epoch
-    since the summand is constant within an epoch. The sqrt(2t log) term
-    assumes rewards in [0, 1]; intro-example's rewards are unbounded.
-    """
-    if m < 2:
-        raise ValueError("L_t is only defined from epoch 2 onward")
-    tau1 = schedule.tau1
-    epochs = range(2, m + 1)
-    sqrt_xi = np.sqrt(_xi_epoch(np.array(epochs), schedule, rate, delta_prime))
-    total = 0.0
-    # one term per epoch, summed in epoch order
-    for e, value in zip(epochs, sqrt_xi.tolist()):
-        count = min(tau1 << (e - 1), t) - (tau1 << (e - 2))  # tau_e, tau_{e-1}
-        if count > 0:
-            total += count * value
-    return (
-        t * l_prev
-        - tau1
-        - math.sqrt(2 * t * _log_term(m, tau1, delta_prime))
-        - EXPLORATION_CONSTANT * math.sqrt(K) * total
-    )
+    """Cumulative-reward floor L_t whose violation signals misspecification."""
+    return float(thresholds(t, m, l_prev, schedule, rate, delta_prime, K)[0])
 
 
 def check_is_safe(
@@ -206,7 +225,7 @@ def check_is_safe(
     K: int,
 ) -> bool:
     """Cumulative test: still safe iff Crwd_t >= L_t."""
-    return crwd >= lower_bound_L(t, m, l_prev, schedule, rate, delta_prime, K)
+    return bool(crwd >= thresholds(t, m, l_prev, schedule, rate, delta_prime, K)[0])
 
 
 def avg_epoch_check(
@@ -219,20 +238,11 @@ def avg_epoch_check(
     delta_prime: float,
     K: int,
 ) -> bool:
-    """Secondary test: the running within-epoch average reward must stay above
-    l_{m-1} minus the exploration and concentration widths. The concentration
-    width assumes rewards in [0, 1]; intro-example's rewards are unbounded."""
-    if m < 2:
-        raise ValueError("checks only run from epoch 2 onward")
-    n_in_epoch = t - schedule.tau(m - 1)
-    threshold = (
-        l_prev
-        - EXPLORATION_CONSTANT
-        * math.sqrt(K)
-        * math.sqrt(float(_xi_epoch(m, schedule, rate, delta_prime)))
-        - math.sqrt(2.0 / n_in_epoch * _log_term(m, schedule.tau1, delta_prime))
+    """Secondary test: still safe iff the mean reward over the epoch's rounds
+    up to t is at least the average floor."""
+    return bool(
+        epoch_rewards_mean >= thresholds(t, m, l_prev, schedule, rate, delta_prime, K)[1]
     )
-    return epoch_rewards_mean >= threshold
 
 
 def _run_epoch_loop(
@@ -291,28 +301,26 @@ def _run_epoch_loop(
             # round-by-round sum
             running = np.cumsum(np.r_[crwd, r])[1:]
             crwd = float(running[-1])
-            epoch_sum = np.cumsum(r)
-            check_times = safety_check_times(m, schedule) if m >= 2 else []
-            for t in check_times:
-                if t > hi:
-                    break
-                i = t - lo - 1
-                ok = check_is_safe(m, t, l_prev, float(running[i]), schedule, rate, dp, K)
-                if ok and config.enable_avg_epoch_test:
-                    ok = avg_epoch_check(
-                        t, m, l_prev, float(epoch_sum[i]) / (t - lo), schedule, rate, dp, K
-                    )
-                if not ok:
-                    detection_round = t
-                    trace.safe[t - 1 : hi] = False
-                    # m_hat == 0 can only happen when every l'_m so far was
-                    # <= 0; fall back to the uniform epoch-1 kernel then.
-                    model, gamma = policies[max(m_hat, 1)]
-                    rest = slice(i + 1, n)
-                    P = action_probs(model.values_batch(X[rest]), gamma)
-                    A[rest] = _draw_arms(P, U[rest])
-                    r = R.ravel()[first_of_row + A]
-                    break
+        if safe and run_checks and m >= 2:
+            ts = np.array(safety_check_times(m, schedule))
+            ts = ts[ts <= hi]
+            floor, avg_floor = thresholds(ts, m, l_prev, schedule, rate, dp, K)
+            rows = ts - lo - 1
+            # negated, so that a NaN statistic fails as well
+            failed = ~(running[rows] >= floor)
+            if config.enable_avg_epoch_test:
+                failed |= ~(np.cumsum(r)[rows] / (ts - lo) >= avg_floor)
+            if failed.any():
+                t = int(ts[failed.argmax()])
+                detection_round = t
+                trace.safe[t - 1 : hi] = False
+                # m_hat == 0 can only happen when every l'_m so far was
+                # <= 0; fall back to the uniform epoch-1 kernel then.
+                model, gamma = policies[max(m_hat, 1)]
+                rest = slice(t - lo, n)
+                P = action_probs(model.values_batch(X[rest]), gamma)
+                A[rest] = _draw_arms(P, U[rest])
+                r = R.ravel()[first_of_row + A]
 
         trace.m_hat[lo:hi] = m_hat
         if detection_round is None and hi == schedule.tau(m):

@@ -70,7 +70,7 @@ def _cmd_lowerbound_check(args) -> int:
     except ValueError as e:
         raise ConfigError(str(e)) from e
     analytic = math.sqrt(env.per_arm_variance)
-    brute = lower_bound_sqrt_b_bruteforce(K, B, seed=args.seed)
+    brute = lower_bound_sqrt_b_bruteforce(K, B)
     print(f"sqrt(B) analytic:    {analytic:.12f}")
     print(f"sqrt(B) brute force: {brute:.12f}")
     rng = np.random.Generator(np.random.Philox(args.seed))

@@ -102,8 +102,15 @@ class EpochSchedule:
             m += 1
         return m
 
-    def epoch_size(self, m: int) -> int:
-        return self.tau(m) - self.tau(m - 1)
+    def epoch_size(self, m):
+        """Rounds in epoch m >= 1, an int or an int array of epochs: tau_1 in
+        epochs 1 and 2, then doubling."""
+        if (np.asarray(m) < 1).any():
+            raise ValueError("epoch index must be >= 1")
+        if np.ndim(m) == 0:
+            # a Python int, exact however large the epoch
+            return self.tau1 << max(int(m) - 2, 0)
+        return self.tau1 << np.maximum(m - 2, 0)
 
 
 @dataclass

@@ -29,6 +29,7 @@ from safebandit import (
     run_falcon_plus,
     run_safe_falcon,
     safety_check_times,
+    thresholds,
     zero_model,
 )
 from safebandit import algorithms
@@ -239,6 +240,45 @@ def test_tests_match_transcriptions_at_any_round(rounds, K, l_prev):
     assert not avg_epoch_check(t, m, l_prev, threshold - tol, s, RATE, dp, K)
 
 
+@settings(max_examples=25, deadline=None)
+@given(rounds=check_rounds(), K=st.integers(2, 9), l_prev=st.floats(0.0, 1.0))
+def test_thresholds_match_transcriptions_on_a_whole_epoch(rounds, K, l_prev):
+    """One call with every check round of epoch m, as the loop makes it."""
+    tau1, m, _ = rounds
+    s = EpochSchedule(tau1)
+    ts = np.array(safety_check_times(m, s))
+    floor, avg_floor = thresholds(ts, m, l_prev, s, RATE, 0.05 / 13, K)
+    assert floor.shape == avg_floor.shape == ts.shape
+    for t, got_L, got_avg in zip(ts.tolist(), floor.tolist(), avg_floor.tolist()):
+        want_L = straight_line_L(t, m, l_prev, tau1, 0.05, K, RATE)
+        assert got_L == pytest.approx(want_L, rel=1e-12)
+        want_avg = straight_line_avg_threshold(t, m, l_prev, tau1, 0.05, K)
+        assert got_avg == pytest.approx(want_avg, rel=1e-12)
+
+
+class TestThresholdsRejectRoundsOutsideTheEpoch:
+    @pytest.mark.parametrize("tau1", [2, 8])
+    @pytest.mark.parametrize("m", [2, 5])
+    @pytest.mark.parametrize("edge", ["previous epoch end", "next epoch start"])
+    def test_round_outside_epoch(self, tau1, m, edge):
+        s = EpochSchedule(tau1)
+        bad = s.tau(m - 1) if edge == "previous epoch end" else s.tau(m) + 1
+        # alone, and among rounds that do lie in the epoch
+        for ts in (bad, np.array([s.tau(m - 1) + 1, bad, s.tau(m)])):
+            with pytest.raises(ValueError):
+                thresholds(ts, m, 0.5, s, RATE, 0.05 / 13, 2)
+        with pytest.raises(ValueError):
+            lower_bound_L(bad, m, 0.5, s, RATE, 0.05 / 13, 2)
+        with pytest.raises(ValueError):
+            avg_epoch_check(bad, m, 0.5, 0.0, s, RATE, 0.05 / 13, 2)
+
+    def test_epoch_one(self):
+        with pytest.raises(ValueError):
+            thresholds(np.array([1, 2]), 1, 0.0, EpochSchedule(2), RATE, 0.05 / 13, 2)
+        with pytest.raises(ValueError):
+            check_is_safe(1, 2, 0.0, 0.0, EpochSchedule(2), RATE, 0.05 / 13, 2)
+
+
 class TestChecks:
     def test_check_is_safe_equality_passes(self):
         dp = 0.05 / 13
@@ -365,35 +405,49 @@ class TestEpochLoopIntegration:
 def replay_tests(trace, cfg):
     """Replay the misspecification tests on the trace's own rewards with the
     reference functions only. Returns the detection round, the final m_hat,
-    and the arguments of every test evaluated, in order."""
+    and for every epoch tested (m, its check times up to T, l_{m-1})."""
     schedule = EpochSchedule(cfg.tau1)
     K = trace.reward_vectors.shape[1]
     dp = cfg.delta_prime
     T = cfg.horizon
     crwd = np.cumsum(trace.rewards)
     l_prev, m_hat = 0.0, 0
-    calls = []
+    epochs = []
     m = 1
     while schedule.tau(m - 1) < T:
         lo, hi = schedule.tau(m - 1), min(schedule.tau(m), T)
         if m >= 2:
             epoch_sum = np.cumsum(trace.rewards[lo:hi])
-            for t in safety_check_times(m, schedule):
-                if t > T:
-                    break
-                c = float(crwd[t - 1])
-                calls.append(("cumulative", m, t, l_prev, c))
-                ok = check_is_safe(m, t, l_prev, c, schedule, RATE, dp, K)
+            times = [t for t in safety_check_times(m, schedule) if t <= T]
+            epochs.append((m, times, l_prev))
+            for t in times:
+                ok = check_is_safe(m, t, l_prev, float(crwd[t - 1]), schedule, RATE, dp, K)
                 if ok and cfg.enable_avg_epoch_test:
                     mean = float(epoch_sum[t - lo - 1]) / (t - lo)
-                    calls.append(("average", m, t, l_prev, mean))
                     ok = avg_epoch_check(t, m, l_prev, mean, schedule, RATE, dp, K)
                 if not ok:
-                    return t, m_hat, calls
+                    return t, m_hat, epochs
         if hi == schedule.tau(m):
             l_prev, m_hat = choose_safe(m, trace.rewards[lo:hi], l_prev, m_hat, dp)
         m += 1
-    return None, m_hat, calls
+    return None, m_hat, epochs
+
+
+def check_statistics(trace, cfg):
+    """Crwd_t and the epoch's mean reward up to t, keyed by check round t,
+    computed from the trace's rewards as the replay computes them."""
+    schedule = EpochSchedule(cfg.tau1)
+    crwd = np.cumsum(trace.rewards)
+    stats = {}
+    m = 2
+    while schedule.tau(m - 1) < cfg.horizon:
+        lo = schedule.tau(m - 1)
+        epoch_sum = np.cumsum(trace.rewards[lo : schedule.tau(m)])
+        for t in safety_check_times(m, schedule):
+            if t <= cfg.horizon:
+                stats[t] = (float(crwd[t - 1]), float(epoch_sum[t - lo - 1]) / (t - lo))
+        m += 1
+    return stats
 
 
 class TestLoopAppliesReferenceTests:
@@ -409,27 +463,33 @@ class TestLoopAppliesReferenceTests:
         + [(None, True, 8, 0)],
     )
     def test_replay_agrees(self, monkeypatch, crash, avg_test, tau1, seed):
-        """The loop evaluates the reference tests with the replay's arguments
-        at every check time, and its detection round and fallback epoch equal
+        """The loop evaluates the thresholds at the replay's check times with
+        the replay's l_{m-1}, compares exactly the replay's Crwd_t and epoch
+        means against them, and its detection round and fallback epoch equal
         the replay's."""
-        calls = []
-
-        def record_cumulative(m, t, l_prev, crwd, *rest):
-            calls.append(("cumulative", m, t, l_prev, crwd))
-            return check_is_safe(m, t, l_prev, crwd, *rest)
-
-        def record_average(t, m, l_prev, mean, *rest):
-            calls.append(("average", m, t, l_prev, mean))
-            return avg_epoch_check(t, m, l_prev, mean, *rest)
-
-        monkeypatch.setattr(algorithms, "check_is_safe", record_cumulative)
-        monkeypatch.setattr(algorithms, "avg_epoch_check", record_average)
-        if crash is None:
-            env = realizable_linear_env(2, dim=1, coefficient_seed=5)
-        else:
-            env = CollapseEnv(collapse_at=128, crash=crash)
+        real = algorithms.thresholds
         cfg = AlgorithmConfig(tau1=tau1, delta=0.05, horizon=4096, enable_avg_epoch_test=avg_test)
-        trace = run_safe_falcon(env, LinearPerArmOracle(2, 1), cfg, seed=seed)
+
+        def run(floors):
+            """Play the run with ``algorithms.thresholds`` replaced by
+            ``floors``; returns the trace and the (m, ts, l_prev) of every
+            call."""
+            calls = []
+
+            def patched(ts, m, l_prev, *rest):
+                calls.append((m, ts.tolist(), l_prev))
+                return floors(ts, m, l_prev, *rest)
+
+            monkeypatch.setattr(algorithms, "thresholds", patched)
+            if crash is None:
+                env = realizable_linear_env(2, dim=1, coefficient_seed=5)
+            else:
+                env = CollapseEnv(collapse_at=128, crash=crash)
+            trace = run_safe_falcon(env, LinearPerArmOracle(2, 1), cfg, seed=seed)
+            monkeypatch.setattr(algorithms, "thresholds", real)
+            return trace, calls
+
+        trace, calls = run(real)
         detection, m_hat, replayed = replay_tests(trace, cfg)
         assert (detection, m_hat) == (trace.detection_round, trace.m_hat_final)
         assert calls == replayed
@@ -437,6 +497,40 @@ class TestLoopAppliesReferenceTests:
             assert trace.detection_round is None
         elif crash == -50.0:
             assert trace.detection_round is not None
+
+        # A run on which no check fails, then the same run with each floor
+        # set to the statistic the replay computes for it: every check passes
+        # with equality, and the run is unchanged.
+        def never_fails(ts, *_):
+            return np.full(len(ts), -np.inf), np.full(len(ts), -np.inf)
+
+        passing, _ = run(never_fails)
+        stats = check_statistics(passing, cfg)
+
+        def floors_at(raised=None, which=0):
+            """Floors equal to the statistics; with ``raised``, floor
+            ``which`` (0 cumulative, 1 average) one ulp higher at that
+            round."""
+
+            def floors(ts, *_):
+                out = np.array([stats[t] for t in ts.tolist()]).T.copy()
+                hit = ts == raised
+                out[which, hit] = np.nextafter(out[which, hit], np.inf)
+                return out[0], out[1]
+
+            return floors
+
+        equal, calls = run(floors_at())
+        assert equal.detection_round is None
+        assert sorted(t for _, ts, _ in calls for t in ts) == sorted(stats)
+        np.testing.assert_array_equal(equal.actions, passing.actions)
+        # one floor one ulp above its statistic: detection lands exactly there
+        times = sorted(stats)
+        for which in (0, 1) if avg_test else (0,):
+            raised = times[(len(times) * (which + 1)) // 3]
+            bumped, _ = run(floors_at(raised, which))
+            assert bumped.detection_round == raised
+            np.testing.assert_array_equal(bumped.actions[:raised], passing.actions[:raised])
 
 
 def reference_run(env, oracle, cfg, seed, gamma_scale, run_checks):

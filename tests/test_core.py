@@ -40,8 +40,13 @@ class TestEpochSchedule:
             assert s.tau(m - 1) < t <= s.tau(m)
 
     def test_epoch_size(self):
-        s = EpochSchedule(2)
-        assert [s.epoch_size(m) for m in range(1, 5)] == [2, 2, 4, 8]
+        for tau1 in (2, 3, 64):
+            s = EpochSchedule(tau1)
+            # scalars stay exact past int64
+            want = [s.tau(m) - s.tau(m - 1) for m in range(1, 70)]
+            assert [s.epoch_size(m) for m in range(1, 70)] == want
+            assert s.epoch_size(np.arange(1, 12)).tolist() == want[:11]
+        assert [EpochSchedule(2).epoch_size(m) for m in range(1, 5)] == [2, 2, 4, 8]
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -50,6 +55,10 @@ class TestEpochSchedule:
             EpochSchedule(2).tau(-1)
         with pytest.raises(ValueError):
             EpochSchedule(2).epoch_of(0)
+        with pytest.raises(ValueError):
+            EpochSchedule(2).epoch_size(0)
+        with pytest.raises(ValueError):
+            EpochSchedule(2).epoch_size(np.array([2, 0, 3]))
 
 
 class TestModels:
