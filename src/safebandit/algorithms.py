@@ -66,7 +66,8 @@ def action_probs(values: np.ndarray, gamma: float) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     K = values.shape[-1]
-    V = np.ascontiguousarray(np.moveaxis(values, -1, 0)).reshape(K, -1)
+    V = np.ascontiguousarray(values.reshape(-1, K).T)
+    n = V.shape[1]
     best, top = _first_max(V)
     # 1 / (K + gamma * gap), in place: a fresh (K, n) array per step costs
     # more than the arithmetic
@@ -74,16 +75,18 @@ def action_probs(values: np.ndarray, gamma: float) -> np.ndarray:
     p *= gamma
     p += K
     np.divide(1.0, p, out=p)
-    # Zero the best arm, then give it the rest. Every p is positive and
-    # finite, so multiplying by a mask is exact, and unlike a masked
-    # assignment it takes no branch per element.
-    is_best = best == np.arange(K)[:, None]
-    p *= ~is_best
-    rest = np.zeros(V.shape[1])
+    # Zero the best arm, then give it the rest, through the flat index of
+    # each round's best entry. The zero is top * 0.0, so a round whose max is
+    # NaN or infinite keeps a NaN there, as its 1 / (K + gamma * gap) was.
+    at = best * n
+    at += np.arange(n)
+    flat = p.reshape(-1)
+    flat[at] = top * 0.0
+    rest = np.zeros(n)
     for row in p:
         rest += row
-    p += is_best * (1.0 - rest)
-    return np.moveaxis(p.reshape((K,) + values.shape[:-1]), 0, -1)
+    flat[at] = 1.0 - rest
+    return p.T.reshape(values.shape)
 
 
 def _draw_arms(p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -99,26 +102,34 @@ def _draw_arms(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return arms
 
 
-def _xi_epoch(m, schedule: EpochSchedule, rate: EstimationRate, delta_prime: float):
+def _xi_epoch(m, previous_size, rate: EstimationRate, delta_prime: float):
     """Estimation rate used in epoch m >= 2 (an int, or an int array of
     epochs): xi at the previous epoch's size and confidence delta' / m^2."""
-    return rate.xi(schedule.epoch_size(m - 1), delta_prime / m**2)
+    return rate.xi(previous_size, delta_prime / m**2)
 
 
 def gamma_m(
-    m: int,
+    m,
     schedule: EpochSchedule,
     rate: EstimationRate,
     delta_prime: float,
     K: int,
-) -> float:
-    """Exploitation parameter: 1 in epoch 1, then sqrt(K / (8 xi)) with xi
-    evaluated at the previous epoch's size."""
-    if m < 1:
+):
+    """Exploitation parameter of epoch m (an int, or an int array of epochs):
+    1 in epoch 1, then sqrt(K / (8 xi)) with xi evaluated at the previous
+    epoch's size. A float for an int m. Raises ValueError for m < 1 and for
+    a rate whose xi is not positive."""
+    m = np.asarray(m)
+    if (m < 1).any():
         raise ValueError("epoch index must be >= 1")
-    if m == 1:
-        return 1.0
-    return math.sqrt(K / (8.0 * float(_xi_epoch(m, schedule, rate, delta_prime))))
+    from_2 = np.maximum(m, 2)
+    xi = _xi_epoch(from_2, schedule.epoch_size(from_2 - 1), rate, delta_prime)
+    # epoch 1's gamma is 1 whatever the rate
+    xi = np.where(m == 1, 1.0, xi)
+    if not (xi > 0).all():
+        raise ValueError("the rate's xi must be positive")
+    gamma = np.where(m == 1, 1.0, np.sqrt(K / (8.0 * xi)))
+    return float(gamma) if gamma.ndim == 0 else gamma
 
 
 def l_prime(m: int, rewards, delta_prime: float) -> float:
@@ -155,6 +166,53 @@ def safety_check_times(m: int, schedule: EpochSchedule) -> list[int]:
     return sorted(times)
 
 
+def _floor_terms(
+    ts, m, schedule: EpochSchedule, rate: EstimationRate, delta_prime: float, K: int
+):
+    """The terms of both floors that do not depend on the run, at the rounds
+    ``ts`` of epochs ``m`` >= 2 (ints, or int arrays of one shape), in the
+    notation of ``thresholds``: sqrt(2 t log_m), c sqrt(K) S_t,
+    c sqrt(K) sqrt(xi_m) and sqrt(2 log_m / (t - tau_{m-1})), each shaped
+    like ``ts``. One call covers any mix of epochs, so a run can pay for all
+    of its checks at once."""
+    m = np.asarray(m)
+    if m.min() < 2:
+        raise ValueError("checks only run from epoch 2 onward")
+    # epochs 1 .. the last asked for; epoch e >= 2 holds rounds
+    # tau_{e-1} + 1 .. 2 tau_{e-1}, and its size is tau_{e-1}
+    epochs = np.arange(1, m.max() + 1)
+    sizes = schedule.epoch_size(epochs)
+    lo = sizes[m - 1]
+    if ((ts <= lo) | (ts > 2 * lo)).any():
+        where = f"epoch {m}, rounds {lo + 1}..{2 * lo}" if m.ndim == 0 else "their epochs"
+        raise ValueError(f"check rounds must lie in {where}")
+    # per-epoch arrays from epoch 2 on: epoch m is row m - 2
+    row = m - 2
+    sqrt_xi = np.sqrt(_xi_epoch(epochs[1:], sizes[:-1], rate, delta_prime))
+    # S_t: the summand is constant within an epoch; the earlier epochs' terms
+    # are added in epoch order, then epoch m's rounds so far
+    full = np.cumsum(np.concatenate(([0.0], (sizes[1:-1] * sqrt_xi[:-1]))))
+    explored = full[row] + (ts - lo) * sqrt_xi[row]
+    log2_tau1 = math.log2(schedule.tau1)
+    log_m = np.array(
+        [math.log(math.ceil(e + log2_tau1) ** 3 / delta_prime) for e in range(2, len(epochs) + 1)]
+    )[row]
+    scale = EXPLORATION_CONSTANT * math.sqrt(K)
+    return (
+        np.sqrt(2 * ts * log_m),
+        scale * explored,
+        scale * sqrt_xi[row],
+        np.sqrt(2.0 / (ts - lo) * log_m),
+    )
+
+
+def _floors(ts, l_prev: float, tau1: int, terms):
+    """(L_t, average floor) at rounds ``ts`` from ``_floor_terms``' terms."""
+    root_log, explored, avg_explored, avg_root_log = terms
+    floor = ts * l_prev - tau1 - root_log - explored
+    return floor, l_prev - avg_explored - avg_root_log
+
+
 def thresholds(
     ts,
     m: int,
@@ -182,23 +240,31 @@ def thresholds(
 
     Raises ValueError for m < 2 and for any round outside (tau_{m-1}, tau_m].
     """
-    if m < 2:
-        raise ValueError("checks only run from epoch 2 onward")
-    lo, hi = schedule.tau(m - 1), schedule.tau(m)
     ts = np.asarray(ts)
-    if ((ts <= lo) | (ts > hi)).any():
-        raise ValueError(f"check rounds must lie in epoch {m}, rounds {lo + 1}..{hi}")
-    epochs = np.arange(2, m + 1)
-    sqrt_xi = np.sqrt(_xi_epoch(epochs, schedule, rate, delta_prime))
-    # S_t: the summand is constant within an epoch; the full epochs' terms are
-    # added in epoch order, then epoch m's rounds so far
-    full = np.cumsum(np.r_[0.0, schedule.epoch_size(epochs[:-1]) * sqrt_xi[:-1]])[-1]
-    explored = full + (ts - lo) * sqrt_xi[-1]
-    log_m = math.log(math.ceil(m + math.log2(schedule.tau1)) ** 3 / delta_prime)
-    scale = EXPLORATION_CONSTANT * math.sqrt(K)
-    floor = ts * l_prev - schedule.tau1 - np.sqrt(2 * ts * log_m) - scale * explored
-    avg_floor = l_prev - scale * sqrt_xi[-1] - np.sqrt(2.0 / (ts - lo) * log_m)
-    return floor, avg_floor
+    terms = _floor_terms(ts, m, schedule, rate, delta_prime, K)
+    return _floors(ts, l_prev, schedule.tau1, terms)
+
+
+def _check_plan(schedule: EpochSchedule, rate: EstimationRate, delta_prime: float, K: int, T: int):
+    """Each epoch m >= 2 of a T-round run mapped to its check rounds up to
+    T, their rows in the epoch and their floors' data-free terms, all from
+    one ``_floor_terms`` call."""
+    times = {}
+    m = 2
+    while schedule.tau(m - 1) < T:
+        times[m] = [t for t in safety_check_times(m, schedule) if t <= T]
+        m += 1
+    if not times:
+        return {}
+    ts = np.array([t for epoch in times.values() for t in epoch])
+    epochs = np.repeat(list(times), [len(epoch) for epoch in times.values()])
+    terms = _floor_terms(ts, epochs, schedule, rate, delta_prime, K)
+    plan, start = {}, 0
+    for m, epoch in times.items():
+        at = slice(start, start + len(epoch))
+        start = at.stop
+        plan[m] = (ts[at], ts[at] - schedule.tau(m - 1) - 1, tuple(term[at] for term in terms))
+    return plan
 
 
 def lower_bound_L(
@@ -271,6 +337,10 @@ def _run_epoch_loop(
     rate = oracle.rate
     dp = config.delta_prime
     T = config.horizon
+    # the schedule-only work, paid once per run: gamma of epochs 2.. and the
+    # check rounds with their floors' data-free terms
+    gammas = gamma_scale * gamma_m(np.arange(2, schedule.epoch_of(T) + 1), schedule, rate, dp, K)
+    checks = _check_plan(schedule, rate, dp, K, T) if run_checks else {}
 
     # (model, gamma) played in each epoch; epoch 1's is the uniform kernel
     policies = {1: (zero_model(K), 1.0)}
@@ -299,13 +369,11 @@ def _run_epoch_loop(
         if safe and run_checks:
             # seeded with the carried total, so every entry equals the
             # round-by-round sum
-            running = np.cumsum(np.r_[crwd, r])[1:]
+            running = np.cumsum(np.concatenate(([crwd], r)))[1:]
             crwd = float(running[-1])
-        if safe and run_checks and m >= 2:
-            ts = np.array(safety_check_times(m, schedule))
-            ts = ts[ts <= hi]
-            floor, avg_floor = thresholds(ts, m, l_prev, schedule, rate, dp, K)
-            rows = ts - lo - 1
+        if safe and m in checks:
+            ts, rows, terms = checks[m]
+            floor, avg_floor = _floors(ts, l_prev, schedule.tau1, terms)
             # negated, so that a NaN statistic fails as well
             failed = ~(running[rows] >= floor)
             if config.enable_avg_epoch_test:
@@ -327,10 +395,7 @@ def _run_epoch_loop(
             l_prev, m_hat = choose_safe(m, r, l_prev, m_hat, dp)
             trace.m_hat[hi - 1] = m_hat
             if hi < T:
-                policies[m + 1] = (
-                    oracle.fit(Dataset(X, A, r)),
-                    gamma_scale * gamma_m(m + 1, schedule, rate, dp, K),
-                )
+                policies[m + 1] = (oracle.fit(Dataset(X, A, r)), gammas[m - 1])
 
         opt, opt_mean = _first_max(means.T)
         trace.epoch[lo:hi] = m

@@ -164,5 +164,5 @@ class RunTrace:
 
     @property
     def realized_regret(self) -> np.ndarray:
-        idx = np.arange(len(self.actions))
-        return self.reward_vectors[idx, self.optimal_arms] - self.rewards
+        best = np.take_along_axis(self.reward_vectors, self.optimal_arms[:, None], axis=1)
+        return best[:, 0] - self.rewards

@@ -12,7 +12,8 @@ from .core import LinearPerArmModel
 class BanditEnvironment:
     """Stationary environment: a context distribution, true means, rewards.
 
-    ``means_batch(X)`` maps (n, dim) contexts to the (n, K) true means.
+    ``means_batch(X)`` maps (n, dim) contexts to the (n, K) true means; it
+    may return them as the transposed view of an arm-major (K, n) array.
     ``sample_batch(rng, n)`` draws n rounds at once as arrays: contexts
     (n, dim), means (n, K) and realized rewards (n, K). The algorithm may
     only look at the chosen arm's reward, but traces record the full vector
@@ -80,15 +81,19 @@ class IntroExampleEnv(BanditEnvironment):
 
     @staticmethod
     def means_batch(X) -> np.ndarray:
-        means = np.empty((len(X), 2))
-        means[:, 0] = X[:, 0] > 0.5
-        means[:, 1] = 0.5
-        return means
+        # filled arm-major, one contiguous row per arm; returned as the
+        # (n, 2) transposed view
+        means = np.empty((2, len(X)))
+        means[0] = X[:, 0] > 0.5
+        means[1] = 0.5
+        return means.T
 
     def sample_batch(self, rng, n):
         X = rng.random((n, 1))
         means = self.means_batch(X)
-        return X, means, means + rng.standard_normal((n, 2))
+        rewards = rng.standard_normal((n, 2))
+        rewards += means
+        return X, means, rewards
 
 
 class LowerBoundEnv(BanditEnvironment):

@@ -158,6 +158,9 @@ class LinearPerArmOracle(RegressionOracle):
     Arms with no samples predict 0.5; a design of rank below dim + 1 (as any
     with no more samples than context dims has) falls back to an
     intercept-only fit: the mean reward, with zero slopes.
+
+    Raises ValueError unless the actions are integers in 0..K-1, one per
+    reward.
     """
 
     def __init__(self, K: int, dim: int = 1):
@@ -166,26 +169,39 @@ class LinearPerArmOracle(RegressionOracle):
         self.rate = LinearChiSquaredRate()
 
     def fit(self, data: Dataset) -> LinearPerArmModel:
-        if len(data) == 0:
+        n_rows = len(data)
+        if n_rows == 0:
             raise ValueError("cannot fit on an empty dataset")
-        xs = np.asarray(data.contexts, dtype=float).reshape(len(data), self.dim)
-        arms = np.asarray(data.actions, dtype=int)
+        xs = np.asarray(data.contexts, dtype=float).reshape(n_rows, self.dim)
+        arms = np.asarray(data.actions)
         rewards = np.asarray(data.rewards, dtype=float)
+        if arms.ndim != 1 or rewards.shape != arms.shape:
+            raise ValueError(
+                f"expected one reward per action, got {rewards.shape} rewards "
+                f"for {arms.shape} actions"
+            )
+        if arms.dtype.kind not in "iu":
+            raise ValueError(f"actions must be integers, not {arms.dtype}")
+        if arms.min() < 0 or arms.max() >= self.K:
+            raise ValueError(f"actions must lie in 0..{self.K - 1}")
 
         intercepts = np.full(self.K, 0.5)
         slopes = np.zeros((self.K, self.dim))
         for a in range(self.K):
-            mask = arms == a
-            n = int(mask.sum())
-            if n == 0:
+            # the arm's rows by index: cheaper than a boolean mask per column
+            rows = np.flatnonzero(arms == a)
+            if len(rows) == 0:
                 continue
-            xa = xs[mask]
-            ra = rewards[mask]
-            design = np.hstack([np.ones((n, 1)), xa])
-            coef, _, rank, _ = np.linalg.lstsq(design, ra, rcond=None)
-            if rank < self.dim + 1:
-                intercepts[a] = ra.mean()
-            else:
-                intercepts[a] = coef[0]
-                slopes[a] = coef[1:]
+            ra = rewards.take(rows)
+            # n <= dim rows: the rank is below dim + 1 for certain
+            if len(rows) > self.dim:
+                design = np.empty((len(rows), self.dim + 1))
+                design[:, 0] = 1.0
+                design[:, 1:] = xs.take(rows, axis=0)
+                coef, _, rank, _ = np.linalg.lstsq(design, ra, rcond=None)
+                if rank == self.dim + 1:
+                    intercepts[a] = coef[0]
+                    slopes[a] = coef[1:]
+                    continue
+            intercepts[a] = ra.mean()
         return LinearPerArmModel(intercepts, slopes)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from safebandit import (
     AlgorithmConfig,
     BanditEnvironment,
+    CommonRate,
     Dataset,
     EpochSchedule,
     EstimationRate,
@@ -92,6 +93,13 @@ class TestGammaM:
     def test_invalid_epoch(self):
         with pytest.raises(ValueError):
             gamma_m(0, EpochSchedule(2), RATE, 0.01, 2)
+
+    @pytest.mark.parametrize("xi", [0.0, -0.25, float("nan")])
+    def test_rate_without_a_positive_xi_raises(self, xi):
+        assert gamma_m(1, EpochSchedule(2), FixedRate(xi), 0.01, 2) == 1.0
+        for m in (2, np.arange(1, 5)):
+            with pytest.raises(ValueError, match="positive"):
+                gamma_m(m, EpochSchedule(2), FixedRate(xi), 0.01, 2)
 
 
 class TestLPrimeAndChooseSafe:
@@ -254,6 +262,28 @@ def test_thresholds_match_transcriptions_on_a_whole_epoch(rounds, K, l_prev):
         assert got_L == pytest.approx(want_L, rel=1e-12)
         want_avg = straight_line_avg_threshold(t, m, l_prev, tau1, 0.05, K)
         assert got_avg == pytest.approx(want_avg, rel=1e-12)
+
+
+@pytest.mark.parametrize("tau1", [2, 3, 64])
+@pytest.mark.parametrize(
+    "rate", [RATE, CommonRate(2.0, 0.8, 1.0, 3.0, 4)], ids=["linear", "common"]
+)
+def test_run_plan_equals_per_epoch_thresholds(tau1, rate):
+    """The loop's once-per-run schedule work gives each epoch the floors and
+    gamma that per-epoch calls give, bit for bit, through epoch 21."""
+    s = EpochSchedule(tau1)
+    dp, K = 0.05 / 13, 5
+    plan = algorithms._check_plan(s, rate, dp, K, s.tau(21) - 1)
+    assert sorted(plan) == list(range(2, 22))
+    for m, (ts, rows, terms) in plan.items():
+        want_ts = [t for t in safety_check_times(m, s) if t < s.tau(21)]
+        assert ts.tolist() == want_ts and rows.tolist() == [t - s.tau(m - 1) - 1 for t in want_ts]
+        for l_prev in (0.0, 0.37):
+            got = algorithms._floors(ts, l_prev, tau1, terms)
+            for a, b in zip(got, thresholds(ts, m, l_prev, s, rate, dp, K)):
+                assert a.tobytes() == b.tobytes()
+    one_by_one = np.array([gamma_m(m, s, rate, dp, K) for m in range(1, 23)])
+    assert gamma_m(np.arange(1, 23), s, rate, dp, K).tobytes() == one_by_one.tobytes()
 
 
 class TestThresholdsRejectRoundsOutsideTheEpoch:
@@ -464,32 +494,38 @@ class TestLoopAppliesReferenceTests:
     )
     def test_replay_agrees(self, monkeypatch, crash, avg_test, tau1, seed):
         """The loop evaluates the thresholds at the replay's check times with
-        the replay's l_{m-1}, compares exactly the replay's Crwd_t and epoch
-        means against them, and its detection round and fallback epoch equal
-        the replay's."""
-        real = algorithms.thresholds
+        the replay's l_{m-1}, each epoch's floors equal to ``thresholds``' bit
+        for bit, compares exactly the replay's Crwd_t and epoch means against
+        them, and its detection round and fallback epoch equal the replay's."""
+        real = algorithms._floors
         cfg = AlgorithmConfig(tau1=tau1, delta=0.05, horizon=4096, enable_avg_epoch_test=avg_test)
+        schedule = EpochSchedule(tau1)
 
         def run(floors):
-            """Play the run with ``algorithms.thresholds`` replaced by
-            ``floors``; returns the trace and the (m, ts, l_prev) of every
-            call."""
-            calls = []
+            """Play the run with ``algorithms._floors``, which the loop calls
+            once per checked epoch, replaced by ``floors``; returns the trace,
+            the (m, ts, l_prev) of every call and what each call returned."""
+            calls, results = [], []
 
-            def patched(ts, m, l_prev, *rest):
-                calls.append((m, ts.tolist(), l_prev))
-                return floors(ts, m, l_prev, *rest)
+            def patched(ts, l_prev, tau1, terms):
+                calls.append((schedule.epoch_of(int(ts[0])), ts.tolist(), l_prev))
+                results.append(floors(ts, l_prev, tau1, terms))
+                return results[-1]
 
-            monkeypatch.setattr(algorithms, "thresholds", patched)
+            monkeypatch.setattr(algorithms, "_floors", patched)
             if crash is None:
                 env = realizable_linear_env(2, dim=1, coefficient_seed=5)
             else:
                 env = CollapseEnv(collapse_at=128, crash=crash)
             trace = run_safe_falcon(env, LinearPerArmOracle(2, 1), cfg, seed=seed)
-            monkeypatch.setattr(algorithms, "thresholds", real)
-            return trace, calls
+            monkeypatch.setattr(algorithms, "_floors", real)
+            return trace, calls, results
 
-        trace, calls = run(real)
+        trace, calls, results = run(real)
+        for (m, ts, l_prev), got in zip(calls, results):
+            want = thresholds(np.array(ts), m, l_prev, schedule, RATE, cfg.delta_prime, 2)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         detection, m_hat, replayed = replay_tests(trace, cfg)
         assert (detection, m_hat) == (trace.detection_round, trace.m_hat_final)
         assert calls == replayed
@@ -504,7 +540,7 @@ class TestLoopAppliesReferenceTests:
         def never_fails(ts, *_):
             return np.full(len(ts), -np.inf), np.full(len(ts), -np.inf)
 
-        passing, _ = run(never_fails)
+        passing, _, _ = run(never_fails)
         stats = check_statistics(passing, cfg)
 
         def floors_at(raised=None, which=0):
@@ -520,7 +556,7 @@ class TestLoopAppliesReferenceTests:
 
             return floors
 
-        equal, calls = run(floors_at())
+        equal, calls, _ = run(floors_at())
         assert equal.detection_round is None
         assert sorted(t for _, ts, _ in calls for t in ts) == sorted(stats)
         np.testing.assert_array_equal(equal.actions, passing.actions)
@@ -528,7 +564,7 @@ class TestLoopAppliesReferenceTests:
         times = sorted(stats)
         for which in (0, 1) if avg_test else (0,):
             raised = times[(len(times) * (which + 1)) // 3]
-            bumped, _ = run(floors_at(raised, which))
+            bumped, _, _ = run(floors_at(raised, which))
             assert bumped.detection_round == raised
             np.testing.assert_array_equal(bumped.actions[:raised], passing.actions[:raised])
 

@@ -11,14 +11,28 @@ arm-major code must instead give one row the same bits as that row of a batch.
 in place: it adds the intercepts into a new array and calls ``np.clip``.
 Addition commutes and ``ndarray.clip`` calls the same ufunc, so the two must
 agree bit for bit at any K and dim.
+
+The ``*_form`` references below are the forms that fewer passes per epoch
+replaced, each of which must still agree with its replacement bit for bit:
+
+- ``mask_form_action_probs`` zeroes the best arm and gives it the rest by
+  multiplying with a boolean arm mask, and reaches the (K, n) layout through
+  ``np.moveaxis``. The kernel now writes the best arm through flat indices.
+  The two agree for finite gamma > 0 on values that are finite or NaN, at any
+  K: a NaN row is NaN throughout in both.
+- ``row_major_intro_sample`` fills intro-example's means row by row and adds
+  the noise into a new array; the environment now fills them arm by arm and
+  adds them into the noise in place.
+- ``fancy_index_realized_regret`` gathers the optimal arm's reward with a
+  two-array fancy index; the trace now uses ``np.take_along_axis``.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safebandit import LinearPerArmModel, action_probs
-from safebandit.algorithms import _draw_arms
+from safebandit import IntroExampleEnv, LinearPerArmModel, RunTrace, action_probs
+from safebandit.algorithms import _draw_arms, _first_max
 
 ROWS = (1, 2, 17, 4096)
 
@@ -48,6 +62,42 @@ def clip_form_values_batch(intercepts, slopes, X):
     for d in range(X.shape[1]):
         total += slopes[:, d, None] * X[:, d]
     return np.clip(intercepts[:, None] + total, 0.0, 1.0).T
+
+
+def mask_form_action_probs(values, gamma):
+    values = np.asarray(values, dtype=float)
+    K = values.shape[-1]
+    V = np.ascontiguousarray(np.moveaxis(values, -1, 0)).reshape(K, -1)
+    best, top = _first_max(V)
+    p = np.subtract(top, V)
+    p *= gamma
+    p += K
+    np.divide(1.0, p, out=p)
+    is_best = best == np.arange(K)[:, None]
+    p *= ~is_best
+    rest = np.zeros(V.shape[1])
+    for row in p:
+        rest += row
+    p += is_best * (1.0 - rest)
+    return np.moveaxis(p.reshape((K,) + values.shape[:-1]), 0, -1)
+
+
+def row_major_intro_means(X):
+    means = np.empty((len(X), 2))
+    means[:, 0] = X[:, 0] > 0.5
+    means[:, 1] = 0.5
+    return means
+
+
+def row_major_intro_sample(rng, n):
+    X = rng.random((n, 1))
+    means = row_major_intro_means(X)
+    return X, means, means + rng.standard_normal((n, 2))
+
+
+def fancy_index_realized_regret(trace):
+    idx = np.arange(len(trace.actions))
+    return trace.reward_vectors[idx, trace.optimal_arms] - trace.rewards
 
 
 def same_bits(a, b):
@@ -154,3 +204,68 @@ def test_wide_values_row_equals_batch_row(K, dim, seed, n):
     np.testing.assert_allclose(
         batch, reference_values_batch(intercepts, slopes, X), rtol=1e-12, atol=1e-15
     )
+
+
+def _special_values(rng, V, nan_rows):
+    """V with some rows NaN in one entry, and some zeros negative."""
+    V = V.copy()
+    if nan_rows and len(V):
+        rows = rng.random(len(V)) < 0.2
+        V[rows, rng.integers(0, V.shape[1], len(V))[rows]] = np.nan
+    V[rng.random(V.shape) < 0.05] = -0.0
+    return V
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    K=st.integers(1, 12),
+    lead=st.sampled_from([(), (1,), (2,), (17,), (7, 3), (4096,)]),
+    nan_rows=st.booleans(),
+    seed=common["seed"],
+    grid=common["grid"],
+    gamma=common["gamma"],
+)
+def test_action_probs_equals_mask_form(K, lead, nan_rows, seed, grid, gamma):
+    """Tied maxima, -0.0 and NaN rows included, at every K: below 8 arms
+    and from 8 on, where numpy would sum pairwise (neither form does)."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    rows = int(np.prod(lead, dtype=int))
+    V = _special_values(rng, _values(rng, rows, K, grid), nan_rows).reshape(lead + (K,))
+    assert same_bits(action_probs(V, gamma), mask_form_action_probs(V, gamma))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), n=st.sampled_from((1, 2, 17, 4096, 16385)))
+def test_intro_sample_equals_row_major_form(seed, n):
+    new = IntroExampleEnv().sample_batch(np.random.Generator(np.random.Philox(seed)), n)
+    old = row_major_intro_sample(np.random.Generator(np.random.Philox(seed)), n)
+    for a, b in zip(new, old):
+        assert same_bits(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), n=st.sampled_from(ROWS))
+def test_intro_means_equal_row_major_form(seed, n):
+    """Contexts at the 0.5 step, -0.0 and NaN included."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    X = rng.random((n, 1))
+    X[rng.random((n, 1)) < 0.2] = 0.5
+    X[rng.random((n, 1)) < 0.1] = -0.0
+    X[rng.random((n, 1)) < 0.1] = np.nan
+    assert same_bits(IntroExampleEnv.means_batch(X), row_major_intro_means(X))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    K=st.integers(1, 12),
+    nan_rows=st.booleans(),
+    seed=st.integers(0, 2**63 - 1),
+    n=st.sampled_from((0,) + ROWS),
+)
+def test_realized_regret_equals_fancy_index_form(K, nan_rows, seed, n):
+    rng = np.random.Generator(np.random.Philox(seed))
+    trace = RunTrace.empty(n, 1, K)
+    trace.reward_vectors[:] = _special_values(rng, rng.normal(size=(n, K)), nan_rows)
+    trace.optimal_arms[:] = rng.integers(0, K, n)
+    trace.rewards[:] = _special_values(rng, rng.normal(size=(n, 1)), nan_rows)[:, 0]
+    assert same_bits(trace.realized_regret, fancy_index_realized_regret(trace))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safebandit import (
     CommonRate,
@@ -176,3 +178,90 @@ class TestLinearPerArmOracle:
         b = LinearPerArmOracle(K=2, dim=1).fit(data)
         np.testing.assert_array_equal(a.intercepts, b.intercepts)
         np.testing.assert_array_equal(a.slopes, b.slopes)
+
+    @pytest.mark.parametrize("bad", [5, 2, -1])
+    def test_action_outside_the_arms_raises(self, bad):
+        data = Dataset(np.zeros((3, 1)), np.array([0, 1, bad]), np.zeros(3))
+        with pytest.raises(ValueError, match="0..1"):
+            LinearPerArmOracle(K=2, dim=1).fit(data)
+
+    @pytest.mark.parametrize("actions", [np.array([0.0, 0.7, 1.0]), np.array([False, True, True])])
+    def test_non_integer_actions_raise(self, actions):
+        data = Dataset(np.zeros((3, 1)), actions, np.zeros(3))
+        with pytest.raises(ValueError, match="integers"):
+            LinearPerArmOracle(K=2, dim=1).fit(data)
+
+    @pytest.mark.parametrize("n_rewards", [2, 4])
+    def test_rewards_of_another_length_raise(self, n_rewards):
+        data = Dataset(np.zeros((3, 1)), np.array([0, 1, 0]), np.zeros(n_rewards))
+        with pytest.raises(ValueError, match="one reward per action"):
+            LinearPerArmOracle(K=2, dim=1).fit(data)
+
+    def test_unsigned_actions_fit_as_signed(self):
+        rng = np.random.Generator(np.random.Philox(2))
+        xs, rewards = rng.random((40, 2)), rng.random(40)
+        arms = rng.integers(0, 3, 40)
+        oracle = LinearPerArmOracle(K=3, dim=2)
+        a = oracle.fit(Dataset(xs, arms, rewards))
+        b = oracle.fit(Dataset(xs, arms.astype(np.uint8), rewards))
+        assert a.intercepts.tobytes() == b.intercepts.tobytes()
+        assert a.slopes.tobytes() == b.slopes.tobytes()
+
+
+def mask_form_fit(K, dim, data):
+    """LinearPerArmOracle.fit before it split the rows by index: a boolean
+    mask per arm selects the rows, ``np.hstack`` builds the design, and
+    lstsq runs for every arm with rows."""
+    xs = np.asarray(data.contexts, dtype=float).reshape(len(data), dim)
+    arms = np.asarray(data.actions, dtype=int)
+    rewards = np.asarray(data.rewards, dtype=float)
+    intercepts = np.full(K, 0.5)
+    slopes = np.zeros((K, dim))
+    for a in range(K):
+        mask = arms == a
+        n = int(mask.sum())
+        if n == 0:
+            continue
+        xa = xs[mask]
+        ra = rewards[mask]
+        design = np.hstack([np.ones((n, 1)), xa])
+        coef, _, rank, _ = np.linalg.lstsq(design, ra, rcond=None)
+        if rank < dim + 1:
+            intercepts[a] = ra.mean()
+        else:
+            intercepts[a] = coef[0]
+            slopes[a] = coef[1:]
+    return intercepts, slopes
+
+
+@st.composite
+def epoch_data(draw):
+    """An epoch's rows where some arms have no rows, one row, at most dim
+    rows or many; contexts from a coarse grid, so rows repeat and designs
+    lose rank; some rewards NaN or -0.0."""
+    K, dim = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**63 - 1))))
+    counts = [draw(st.sampled_from([0, 1, dim, dim + 1, 7, 300])) for _ in range(K)]
+    if sum(counts) == 0:
+        counts[0] = 1
+    arms = rng.permutation(np.repeat(np.arange(K), counts))
+    n = len(arms)
+    grid = draw(st.sampled_from([0, 1, 3]))
+    xs = rng.uniform(-1.0, 2.0, (n, dim))
+    if grid:
+        xs = np.round(xs * grid) / grid
+    rewards = rng.normal(0.5, 1.0, n)
+    rewards[rng.random(n) < 0.1] = -0.0
+    if draw(st.booleans()):
+        rewards[rng.random(n) < 0.05] = np.nan
+    return K, dim, Dataset(xs, arms, rewards)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=epoch_data())
+def test_fit_equals_mask_form(case):
+    K, dim, data = case
+    model = LinearPerArmOracle(K, dim).fit(data)
+    intercepts, slopes = mask_form_fit(K, dim, data)
+    assert model.intercepts.tobytes() == intercepts.tobytes()
+    assert model.slopes.tobytes() == slopes.tobytes()
