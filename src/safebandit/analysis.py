@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,53 +161,32 @@ def policy_regret(table: np.ndarray, pi, env: TabularEnv) -> float:
     return float(np.sum(env.context_probs * (best - table[idx, pi])))
 
 
-@dataclass
-class EpochSummary:
-    epoch: int
-    count: int
-    mean_realized_regret: float
-
-
-def epoch_summaries(trace) -> list[EpochSummary]:
-    """Per-epoch average realized regret for one run. The epoch column is
-    sorted, so each epoch is one contiguous slice."""
+def epoch_summaries(trace):
+    """Per-epoch realized regret of one run as three arrays: the epochs, their
+    round counts and their mean regret. The epoch column is sorted, so each
+    epoch is one contiguous slice."""
     realized = trace.realized_regret
     epochs = trace.epoch
     bounds = [0, *(np.flatnonzero(np.diff(epochs)) + 1).tolist(), len(epochs)]
-    return [
-        EpochSummary(
-            epoch=int(epochs[lo]),
-            count=hi - lo,
-            mean_realized_regret=float(realized[lo:hi].mean()),
-        )
-        for lo, hi in zip(bounds, bounds[1:])
-        if hi > lo
-    ]
+    starts, ends = bounds[:-1], bounds[1:]
+    means = np.array([realized[lo:hi].mean() for lo, hi in zip(starts, ends)])
+    return epochs[starts], np.subtract(ends, starts), means
 
 
-def aggregate_runs(per_run_summaries: list[list[EpochSummary]]):
+def aggregate_runs(per_run):
     """Cross-run mean and normal-approximation 95% CI of per-epoch realized
-    regret. Returns a list of dicts, one per epoch. The runs must share their
-    epochs, as the runs of one config do."""
-    if not per_run_summaries:
+    regret, from each run's ``epoch_summaries``. Returns four arrays: epochs,
+    mean, ci_low and ci_high. The runs must share their epochs, as the runs
+    of one config do."""
+    if not per_run:
         raise ValueError("need at least one run")
-    epochs = [s.epoch for s in per_run_summaries[0]]
-    if any([s.epoch for s in run] != epochs for run in per_run_summaries):
+    epochs = per_run[0][0]
+    if any(not np.array_equal(run[0], epochs) for run in per_run):
         raise ValueError("runs must share their epochs")
-    rows = []
-    for i, m in enumerate(epochs):
-        vals = np.array([run[i].mean_realized_regret for run in per_run_summaries])
-        mean = float(vals.mean())
-        if len(vals) > 1:
-            half = 1.96 * float(vals.std(ddof=1)) / math.sqrt(len(vals))
-        else:
-            half = 0.0
-        rows.append(
-            {
-                "epoch": m,
-                "mean": mean,
-                "ci_low": mean - half,
-                "ci_high": mean + half,
-            }
-        )
-    return rows
+    # epochs x runs with each epoch's runs contiguous, so numpy sums a row in
+    # the same (pairwise) order as a 1-d array of that epoch's runs
+    vals = np.column_stack([run[2] for run in per_run])
+    n = vals.shape[1]
+    mean = vals.mean(axis=1)
+    half = 1.96 * vals.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else 0.0
+    return epochs, mean, mean - half, mean + half

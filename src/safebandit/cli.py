@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config error, 3 acceptance-check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -103,7 +104,10 @@ def _cmd_validate_rate(args) -> int:
     return 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    each call parses into a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="safebandit",
         description="Contextual-bandit simulations with a misspecification-safe fallback.",

@@ -194,7 +194,3 @@ class TabularEnv(BanditEnvironment):
         means = self.means_batch(i[:, None])
         rewards = (rng.random((n, self.K)) < means).astype(float)
         return i[:, None].astype(float), means, rewards
-
-    def sample(self, rng):
-        X, means, rewards = self.sample_batch(rng, 1)
-        return int(X[0, 0]), means[0], rewards[0]

@@ -224,11 +224,11 @@ def write_trace_csv(path: str, traces):
 def _epoch_rows(per_run, aggregate):
     """epochs.csv rows: per-epoch mean regret per run, then the cross-run
     aggregate rows (run_id = 'all')."""
-    for run_id, summaries in enumerate(per_run):
-        for s in summaries:
-            yield [s.epoch, run_id, s.mean_realized_regret, s.count, "", ""]
-    for row in aggregate:
-        yield [row["epoch"], "all", row["mean"], "", row["ci_low"], row["ci_high"]]
+    for run_id, (epochs, counts, means) in enumerate(per_run):
+        for m, count, mean in zip(epochs.tolist(), counts.tolist(), means.tolist()):
+            yield [m, run_id, mean, count, "", ""]
+    for m, mean, lo, hi in zip(*(col.tolist() for col in aggregate)):
+        yield [m, "all", mean, "", lo, hi]
 
 
 def _write_csv(path: str, header, rows):
@@ -248,9 +248,7 @@ def write_epochs_csv(path: str, per_run, aggregate):
 def render_regret_svg(aggregate, title="per-epoch mean regret") -> str:
     """Minimal line chart with error bars; no plotting dependency."""
     width, height, pad = 640, 400, 50
-    xs = [row["epoch"] for row in aggregate]
-    los = [row["ci_low"] for row in aggregate]
-    his = [row["ci_high"] for row in aggregate]
+    xs, means, los, his = (col.tolist() for col in aggregate)
     x_min, x_max = min(xs), max(xs)
     y_min = min(min(los), 0.0)
     y_max = max(his) or 1.0
@@ -273,24 +271,20 @@ def render_regret_svg(aggregate, title="per-epoch mean regret") -> str:
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>',
         f'<text x="{width / 2:.1f}" y="{height - 12}" text-anchor="middle" font-size="12">epoch</text>',
     ]
-    points = " ".join(
-        f"{sx(row['epoch']):.2f},{sy(row['mean']):.2f}" for row in aggregate
-    )
+    points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, means))
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="steelblue" stroke-width="1.5"/>'
     )
-    for row in aggregate:
-        x = sx(row["epoch"])
+    for m, mean, lo, hi in zip(xs, means, los, his):
+        x = sx(m)
         parts.append(
-            f'<line x1="{x:.2f}" y1="{sy(row["ci_low"]):.2f}" x2="{x:.2f}" '
-            f'y2="{sy(row["ci_high"]):.2f}" stroke="steelblue"/>'
+            f'<line x1="{x:.2f}" y1="{sy(lo):.2f}" x2="{x:.2f}" '
+            f'y2="{sy(hi):.2f}" stroke="steelblue"/>'
         )
-        parts.append(
-            f'<circle cx="{x:.2f}" cy="{sy(row["mean"]):.2f}" r="2.5" fill="steelblue"/>'
-        )
+        parts.append(f'<circle cx="{x:.2f}" cy="{sy(mean):.2f}" r="2.5" fill="steelblue"/>')
         parts.append(
             f'<text x="{x:.2f}" y="{height - pad + 16}" text-anchor="middle" '
-            f'font-size="10">{row["epoch"]}</text>'
+            f'font-size="10">{m}</text>'
         )
     for frac in (0.0, 0.5, 1.0):
         y = y_min + frac * (y_max - y_min)

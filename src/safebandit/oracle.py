@@ -160,7 +160,7 @@ class LinearPerArmOracle(RegressionOracle):
     intercept-only fit: the mean reward, with zero slopes.
 
     Raises ValueError unless the actions are integers in 0..K-1, one per
-    reward.
+    reward, and every context is finite.
     """
 
     def __init__(self, K: int, dim: int = 1):
@@ -184,6 +184,9 @@ class LinearPerArmOracle(RegressionOracle):
             raise ValueError(f"actions must be integers, not {arms.dtype}")
         if arms.min() < 0 or arms.max() >= self.K:
             raise ValueError(f"actions must lie in 0..{self.K - 1}")
+        # before lstsq, which fails on them only after LAPACK writes to stderr
+        if not np.isfinite(xs).all():
+            raise ValueError("contexts must be finite")
 
         intercepts = np.full(self.K, 0.5)
         slopes = np.zeros((self.K, self.dim))

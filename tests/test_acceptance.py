@@ -64,8 +64,8 @@ def safe_falcon_batch():
 
 
 def _epoch_means(batch):
-    agg = aggregate_runs([epoch_summaries(t) for t in batch])
-    return {row["epoch"]: row["mean"] for row in agg}
+    epochs, mean, _, _ = aggregate_runs([epoch_summaries(t) for t in batch])
+    return dict(zip(epochs.tolist(), mean.tolist()))
 
 
 def test_criterion_1_kernel_laws():
@@ -170,15 +170,16 @@ def test_criterion_6_figure2_qualitative(falcon_plus_batch, safe_falcon_batch):
     for trace in safe_falcon_batch:
         if trace.detection_round is None:
             continue
+        epochs, _, means = epoch_summaries(trace)
         post = [
-            s
-            for s in epoch_summaries(trace)
-            if schedule.tau(s.epoch - 1) >= trace.detection_round
+            (m, mean)
+            for m, mean in zip(epochs.tolist(), means.tolist())
+            if schedule.tau(m - 1) >= trace.detection_round
         ]
         if len(post) < 3:
             continue
-        xs = np.array([s.epoch for s in post], dtype=float)
-        ys = np.array([s.mean_realized_regret for s in post])
+        xs = np.array([m for m, _ in post], dtype=float)
+        ys = np.array([mean for _, mean in post])
         X = np.column_stack([np.ones_like(xs), xs])
         beta, res, _, _ = np.linalg.lstsq(X, ys, rcond=None)
         dof = len(xs) - 2

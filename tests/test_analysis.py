@@ -18,7 +18,6 @@ from safebandit import (
     run_safe_falcon,
 )
 from safebandit.analysis import (
-    EpochSummary,
     aggregate_runs,
     average_misspecification_tabular,
     epoch_summaries,
@@ -199,11 +198,38 @@ class TestMStar:
 def mask_epoch_summaries(trace):
     """Reference: one full-length mask per epoch."""
     realized = trace.realized_regret
-    out = []
+    epochs, counts, means = [], [], []
     for m in np.unique(trace.epoch):
         mask = trace.epoch == m
-        out.append(EpochSummary(int(m), int(mask.sum()), float(realized[mask].mean())))
-    return out
+        epochs.append(int(m))
+        counts.append(int(mask.sum()))
+        means.append(float(realized[mask].mean()))
+    return np.array(epochs), np.array(counts), np.array(means)
+
+
+def reference_aggregate_runs(per_run):
+    """Reference: each epoch's runs gathered into a 1-d array, one epoch at
+    a time."""
+    epochs = per_run[0][0].tolist()
+    mean, ci_low, ci_high = [], [], []
+    for i in range(len(epochs)):
+        vals = np.array([run[2][i] for run in per_run])
+        m = float(vals.mean())
+        half = 1.96 * float(vals.std(ddof=1)) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
+        mean.append(m)
+        ci_low.append(m - half)
+        ci_high.append(m + half)
+    return np.array(epochs), np.array(mean), np.array(ci_low), np.array(ci_high)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.astype(float).tobytes() == b.astype(float).tobytes()
+
+
+def summaries(epochs, means):
+    """One run's ``epoch_summaries`` arrays, one round per epoch."""
+    return np.array(epochs), np.ones(len(epochs), dtype=int), np.array(means, dtype=float)
 
 
 class DropEnv(BanditEnvironment):
@@ -227,40 +253,62 @@ class TestEpochSummaries:
         # the detection falls inside an epoch, which is cut there and ends
         # at the horizon, not at an epoch boundary
         assert d is not None and trace.epoch[d - 1] == trace.epoch[d]
-        assert epoch_summaries(trace) == mask_epoch_summaries(trace)
+        got, want = epoch_summaries(trace), mask_epoch_summaries(trace)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
 
     def test_counts_and_bounds(self):
         env = realizable_linear_env(2, dim=1, coefficient_seed=3)
         cfg = AlgorithmConfig(tau1=4, delta=0.05, horizon=100)
         trace = run_falcon_plus(env, LinearPerArmOracle(2, 1), cfg, seed=0)
-        summaries = epoch_summaries(trace)
-        assert sum(s.count for s in summaries) == 100
-        assert summaries[0].count == 4
+        epochs, counts, means = epoch_summaries(trace)
+        assert counts.sum() == 100
+        assert counts[0] == 4
+        assert len(epochs) == len(counts) == len(means)
+
+    @pytest.mark.parametrize("runs", [1, 2, 8, 9])
+    def test_aggregate_equals_per_epoch_reference(self, runs):
+        # 8 runs and more are summed pairwise: each epoch's runs must be
+        # reduced as one contiguous row
+        env = realizable_linear_env(3, dim=1, coefficient_seed=3)
+        cfg = AlgorithmConfig(tau1=2, delta=0.05, horizon=3000)
+        per_run = [
+            epoch_summaries(run_falcon_plus(env, LinearPerArmOracle(3, 1), cfg, seed))
+            for seed in range(runs)
+        ]
+        got, want = aggregate_runs(per_run), reference_aggregate_runs(per_run)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("runs", [1, 2, 8, 9, 130])
+    def test_aggregate_equals_reference_on_wide_values(self, runs):
+        rng = np.random.Generator(np.random.Philox(runs))
+        vals = rng.standard_normal((runs, 6)) * rng.choice([1e-3, 1.0, 1e6], (runs, 6))
+        vals[rng.random((runs, 6)) < 0.1] = -0.0
+        per_run = [summaries(range(1, 7), v) for v in vals]
+        got, want = aggregate_runs(per_run), reference_aggregate_runs(per_run)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
 
     def test_constant_regret_aggregation(self):
-        rows = [
-            [EpochSummary(m, 1, 0.1) for m in (1, 2, 3)],
-        ]
-        agg = aggregate_runs(rows)
-        for row in agg:
-            assert row["mean"] == pytest.approx(0.1)
-            assert row["ci_low"] == row["ci_high"] == pytest.approx(0.1)
+        epochs, mean, ci_low, ci_high = aggregate_runs([summaries([1, 2, 3], [0.1] * 3)])
+        assert epochs.tolist() == [1, 2, 3]
+        np.testing.assert_allclose(mean, 0.1)
+        assert np.array_equal(ci_low, mean) and np.array_equal(ci_high, mean)
 
     def test_cross_run_ci(self):
-        rows = [
-            [EpochSummary(1, 1, v)] for v in (0.1, 0.2, 0.3, 0.4)
-        ]
-        agg = aggregate_runs(rows)
-        assert agg[0]["mean"] == pytest.approx(0.25)
+        per_run = [summaries([1], [v]) for v in (0.1, 0.2, 0.3, 0.4)]
+        _, mean, _, ci_high = aggregate_runs(per_run)
+        assert mean[0] == pytest.approx(0.25)
         sem = np.std([0.1, 0.2, 0.3, 0.4], ddof=1) / 2
-        assert agg[0]["ci_high"] - agg[0]["mean"] == pytest.approx(1.96 * sem)
+        assert ci_high[0] - mean[0] == pytest.approx(1.96 * sem)
         with pytest.raises(ValueError):
             aggregate_runs([])
 
     def test_runs_with_different_epochs_rejected(self):
-        short = [EpochSummary(m, 1, 0.1) for m in (1, 2)]
-        long = [EpochSummary(m, 1, 0.1) for m in (1, 2, 3)]
+        short = summaries([1, 2], [0.1] * 2)
+        long = summaries([1, 2, 3], [0.1] * 3)
+        shifted = summaries([2, 3, 4], [0.1] * 3)
         with pytest.raises(ValueError):
             aggregate_runs([short, long])
         with pytest.raises(ValueError):
             aggregate_runs([long, short])
+        with pytest.raises(ValueError):
+            aggregate_runs([long, shifted])

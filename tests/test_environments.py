@@ -132,7 +132,8 @@ class TestTabularEnv:
         counts = np.zeros(2)
         sums = np.zeros((2, 2))
         for _ in range(n):
-            i, means, rewards = env.sample(rng)
+            x, means, rewards = env.sample(rng)
+            i = int(x[0])
             assert set(np.unique(rewards)) <= {0.0, 1.0}
             counts[i] += 1
             sums[i] += rewards
@@ -202,7 +203,7 @@ class TestStatefulRowShapes:
     GOOD = [
         (3, 1, np.array([0.5]), np.full(3, 0.2), np.full(3, 0.4)),
         (3, 2, np.array([0.5, 0.25]), [0.2, 0.3, 0.4], [0.0, 1.0, 0.5]),
-        (3, 1, 2, np.full(3, 0.2), np.full(3, 0.4)),  # an int context, as TabularEnv's
+        (3, 1, 2, np.full(3, 0.2), np.full(3, 0.4)),  # an int context, as a user's sample may give
         (3, 1, 0.5, np.full(3, 0.2), np.full(3, 0.4)),
     ]
     BAD = {

@@ -384,6 +384,21 @@ class TestCli:
         assert main(["run", "--runs", "400000", "--T", "1024", "--out", out]) == 2
         assert not (tmp_path / "budget").exists()
 
+    def test_config_error_leaves_the_next_call_unchanged(self, tmp_path):
+        # the parser is built once per process and shared by every call
+        assert cli.build_parser() is cli.build_parser()
+        run = ["run", "--T", "300", "--runs", "2", "--avg-epoch-test", "true"]
+        assert main([*run, "--out", str(tmp_path / "a")]) == 0
+        bad = str(tmp_path / "bad")
+        assert main(["run", "--algorithm", "falcon-plus", "--env", "realizable-linear",
+                     "--seed", "7", "--tau1", "1", "--out", bad]) == 2
+        assert main(["compare", "--a-seed", "5", "--a-algorithm", "safe-falcon",
+                     "--b-algorithm", "safe-falcon", "--out", bad]) == 2
+        assert main([*run, "--out", str(tmp_path / "b")]) == 0
+        assert not (tmp_path / "bad").exists()
+        for name in ("trace.csv", "epochs.csv", "regret.svg"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_lowerbound_check(self, capsys):
         assert main(["lowerbound-check", "--K", "3", "--B", "0.05"]) == 0
         assert "PASS" in capsys.readouterr().out

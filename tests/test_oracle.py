@@ -197,6 +197,24 @@ class TestLinearPerArmOracle:
         with pytest.raises(ValueError, match="one reward per action"):
             LinearPerArmOracle(K=2, dim=1).fit(data)
 
+    @pytest.mark.parametrize(
+        "bad, arm_rows",
+        [(np.inf, 3), (-np.inf, 3), (np.nan, 3), (np.nan, 1), (np.inf, 1)],
+        ids=["inf-in-fitted-arm", "-inf-in-fitted-arm", "nan-in-fitted-arm",
+             "nan-in-one-row-arm", "inf-in-one-row-arm"],
+    )
+    def test_non_finite_context_raises_before_lstsq(self, bad, arm_rows, capfd):
+        # arm 0 has arm_rows rows, the last holding the bad context; with
+        # one row it would take its mean, with more it would reach lstsq,
+        # which makes LAPACK write to stderr before raising LinAlgError
+        xs = np.linspace(0.1, 0.9, arm_rows + 2)[:, None]
+        xs[arm_rows - 1, 0] = bad
+        arms = np.array([0] * arm_rows + [1, 1])
+        data = Dataset(xs, arms, np.full(arm_rows + 2, 0.5))
+        with pytest.raises(ValueError, match="contexts must be finite"):
+            LinearPerArmOracle(K=2, dim=1).fit(data)
+        assert capfd.readouterr().err == ""
+
     def test_unsigned_actions_fit_as_signed(self):
         rng = np.random.Generator(np.random.Philox(2))
         xs, rewards = rng.random((40, 2)), rng.random(40)

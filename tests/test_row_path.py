@@ -96,9 +96,8 @@ def test_default_sample_batch_equals_reference(K, dim, seed, n, at):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**63 - 1), n=st.sampled_from(ROWS), at=st.integers(0, 20))
 def test_default_sample_batch_equals_reference_on_integer_contexts(seed, n, at):
-    # TabularEnv.sample returns its context as an int
+    # TabularEnv's contexts are integer-valued floats
     table = np.random.Generator(np.random.Philox(seed)).random((4, 3))
-    assert isinstance(TabularEnv(table).sample(np.random.Generator(np.random.Philox(seed)))[0], int)
     envs = [NegatedEnv(TabularEnv(table), at) for _ in range(2)]
     got = envs[0].sample_batch(np.random.Generator(np.random.Philox(seed)), n)
     want = reference_default_sample_batch(envs[1], np.random.Generator(np.random.Philox(seed)), n)
