@@ -41,18 +41,23 @@ class AlgorithmConfig:
         return self.delta / 13.0
 
 
-def _first_max(rows):
+def _first_max(rows, out=None):
     """Elementwise max over the first (arm) axis and the index of the first
     arm reaching it, the arm ``np.argmax`` picks. Each step is one op over
     the rounds, with no branch per element. A max of zero may carry either
-    sign when arms tie at +0.0 and -0.0."""
-    best = np.zeros(rows.shape[1:], dtype=np.intp)
-    top = rows[0]
+    sign when arms tie at +0.0 and -0.0. ``out`` is an optional (index, max)
+    pair of arrays shaped like a row to write the two results into; the index
+    array's dtype must hold len(rows) - 1."""
+    if out is None:
+        out = np.empty(rows.shape[1:], dtype=np.intp), np.empty(rows.shape[1:])
+    best, top = out
+    best[...] = 0
+    top[...] = rows[0]
     for k in range(1, len(rows)):
         # arms come in increasing order, so a strictly better arm carries
         # the largest index so far
-        np.maximum(best, k * (rows[k] > top), out=best)
-        top = np.maximum(top, rows[k])
+        np.copyto(best, k, where=rows[k] > top)
+        np.maximum(top, rows[k], out=top)
     return best, top
 
 
@@ -89,17 +94,27 @@ def action_probs(values: np.ndarray, gamma: float) -> np.ndarray:
     return p.T.reshape(values.shape)
 
 
-def _draw_arms(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _draw_arms(p: np.ndarray, u: np.ndarray, out=None) -> np.ndarray:
     """Inverse-CDF draw of one arm per row of ``p``: the first arm whose
     cumulative probability reaches the row's uniform, or the last arm when
     rounding leaves the cumulative sum short of it. The K - 1 comparisons
-    run on a running column sum."""
-    arms = np.zeros(p.shape[:-1], dtype=np.intp)
+    run on a running column sum. The arms go to ``out`` when given, an
+    integer array shaped like a row of uniforms, else to a new intp array."""
+    arms = np.empty(p.shape[:-1], dtype=np.intp) if out is None else out
+    arms[...] = 0
     cum = np.zeros(p.shape[:-1])
     for k in range(p.shape[-1] - 1):
         cum += p[..., k]
         arms += cum < u
     return arms
+
+
+def _gather(R: np.ndarray, A: np.ndarray, out: np.ndarray):
+    """out[i] = R[i, A[i]] for a C-contiguous (n, K) array R, through flat
+    indices."""
+    at = np.arange(0, R.size, R.shape[1])
+    at += A
+    np.take(R.reshape(-1), at, out=out)
 
 
 def _xi_epoch(m, previous_size, rate: EstimationRate, delta_prime: float):
@@ -328,6 +343,12 @@ def _run_epoch_loop(
     arrays. The misspecification tests run only at the epoch's check times;
     after the first failure the rest of the epoch is played again, on the
     same draws, with the fallback kernel.
+
+    Every per-round array of an epoch is written straight into its rows of
+    the trace, and the rest of the epoch's arrays (the environment's, the
+    uniforms and the running sums) are freed before ``choose_safe`` and the
+    fit, which read the trace. So a run holds its trace plus one epoch's
+    working set.
     """
     bitgen = np.random.Philox(seed)
     env_rng = np.random.Generator(bitgen)
@@ -354,16 +375,22 @@ def _run_epoch_loop(
     while schedule.tau(m) < T:
         m += 1
         lo, hi = schedule.tau(m - 1), min(schedule.tau(m), T)
-        n = hi - lo
-        X, means, R = env.sample_batch(env_rng, n)
-        first_of_row = np.arange(0, n * K, K)  # flat index of (row, arm 0)
-        U = act_rng.random(n)
+        X, means, R = env.sample_batch(env_rng, hi - lo)
+        trace.contexts[lo:hi] = X
+        trace.reward_vectors[lo:hi] = R
+        _first_max(means.T, out=(trace.optimal_arms[lo:hi], trace.optimal_means[lo:hi]))
+        del means
+        # the epoch's rows of the trace, as views: the arms and rewards are
+        # written there, and the checks and the fit read them there
+        X, R = trace.contexts[lo:hi], trace.reward_vectors[lo:hi]
+        A, r = trace.actions[lo:hi], trace.rewards[lo:hi]
+        U = act_rng.random(hi - lo)
         safe = detection_round is None
         if safe:
             model, gamma = policies[m]
         # after a detection, model and gamma stay the fallback's
-        A = _draw_arms(action_probs(model.values_batch(X), gamma), U)
-        r = R.ravel()[first_of_row + A]
+        _draw_arms(action_probs(model.values_batch(X), gamma), U, out=A)
+        _gather(R, A, r)
         trace.safe[lo:hi] = safe
 
         if safe and run_checks:
@@ -371,40 +398,35 @@ def _run_epoch_loop(
             # round-by-round sum
             running = np.cumsum(np.concatenate(([crwd], r)))[1:]
             crwd = float(running[-1])
-        if safe and m in checks:
-            ts, rows, terms = checks[m]
-            floor, avg_floor = _floors(ts, l_prev, schedule.tau1, terms)
-            # negated, so that a NaN statistic fails as well
-            failed = ~(running[rows] >= floor)
-            if config.enable_avg_epoch_test:
-                failed |= ~(np.cumsum(r)[rows] / (ts - lo) >= avg_floor)
-            if failed.any():
-                t = int(ts[failed.argmax()])
-                detection_round = t
-                trace.safe[t - 1 : hi] = False
-                # m_hat == 0 can only happen when every l'_m so far was
-                # <= 0; fall back to the uniform epoch-1 kernel then.
-                model, gamma = policies[max(m_hat, 1)]
-                rest = slice(t - lo, n)
-                P = action_probs(model.values_batch(X[rest]), gamma)
-                A[rest] = _draw_arms(P, U[rest])
-                r = R.ravel()[first_of_row + A]
+            if m in checks:
+                ts, rows, terms = checks[m]
+                floor, avg_floor = _floors(ts, l_prev, schedule.tau1, terms)
+                # negated, so that a NaN statistic fails as well
+                failed = ~(running[rows] >= floor)
+                if config.enable_avg_epoch_test:
+                    failed |= ~(np.cumsum(r)[rows] / (ts - lo) >= avg_floor)
+                if failed.any():
+                    t = int(ts[failed.argmax()])
+                    detection_round = t
+                    trace.safe[t - 1 : hi] = False
+                    # m_hat == 0 can only happen when every l'_m so far was
+                    # <= 0; fall back to the uniform epoch-1 kernel then.
+                    model, gamma = policies[max(m_hat, 1)]
+                    rest = slice(t - lo, None)
+                    P = action_probs(model.values_batch(X[rest]), gamma)
+                    _draw_arms(P, U[rest], out=A[rest])
+                    del P
+                    _gather(R[rest], A[rest], r[rest])
+            del running
+        del U  # before choose_safe and the fit
 
+        trace.epoch[lo:hi] = m
         trace.m_hat[lo:hi] = m_hat
         if detection_round is None and hi == schedule.tau(m):
             l_prev, m_hat = choose_safe(m, r, l_prev, m_hat, dp)
             trace.m_hat[hi - 1] = m_hat
             if hi < T:
                 policies[m + 1] = (oracle.fit(Dataset(X, A, r)), gammas[m - 1])
-
-        opt, opt_mean = _first_max(means.T)
-        trace.epoch[lo:hi] = m
-        trace.contexts[lo:hi] = X
-        trace.actions[lo:hi] = A
-        trace.rewards[lo:hi] = r
-        trace.reward_vectors[lo:hi] = R
-        trace.optimal_arms[lo:hi] = opt
-        trace.optimal_means[lo:hi] = opt_mean
 
     trace.detection_round = detection_round
     trace.m_hat_final = m_hat

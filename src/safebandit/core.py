@@ -113,6 +113,11 @@ class EpochSchedule:
         return self.tau1 << np.maximum(m - 2, 0)
 
 
+def _narrowest_int(top: int):
+    """The narrowest signed integer dtype that holds 0 .. top."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
+
+
 @dataclass
 class RunTrace:
     """Per-round record of one bandit run.
@@ -120,6 +125,19 @@ class RunTrace:
     All arrays share the same length (number of rounds actually played).
     ``reward_vectors`` holds the full realized reward vector so counterfactual
     regret against the optimal arm can be recomputed after the fact.
+
+    ``empty`` gives each integer column the narrowest signed dtype its range
+    allows, derived from K alone, with no option:
+
+    - ``epoch`` and ``m_hat``: int8. Epoch m starts after tau_{m-1} >= 2^(m-1)
+      rounds and an array holds fewer than 2^63, so a run has at most 63
+      epochs, and m_hat is at most the current epoch.
+    - ``actions`` and ``optimal_arms``: arms 0 .. K - 1, so int8 up to
+      K = 128, int16 up to K = 32768, then int32 and int64.
+    - ``safe``: bool; ``contexts``, ``rewards``, ``reward_vectors`` and
+      ``optimal_means``: float64.
+
+    With K = 2 and one context dim a round takes 45 bytes.
     """
 
     epoch: np.ndarray
@@ -136,17 +154,19 @@ class RunTrace:
 
     @classmethod
     def empty(cls, T: int, dim: int, K: int) -> "RunTrace":
-        """Uninitialized columns for T rounds, filled in place by the loop."""
+        """Uninitialized columns for T rounds, filled in place by the loop;
+        the integer columns in the dtypes the class docstring lists."""
+        arm = _narrowest_int(K - 1)
         return cls(
-            epoch=np.empty(T, dtype=int),
+            epoch=np.empty(T, dtype=np.int8),
             contexts=np.empty((T, dim)),
-            actions=np.empty(T, dtype=np.intp),
+            actions=np.empty(T, dtype=arm),
             rewards=np.empty(T),
             reward_vectors=np.empty((T, K)),
-            optimal_arms=np.empty(T, dtype=np.intp),
+            optimal_arms=np.empty(T, dtype=arm),
             optimal_means=np.empty(T),
             safe=np.empty(T, dtype=bool),
-            m_hat=np.empty(T, dtype=int),
+            m_hat=np.empty(T, dtype=np.int8),
         )
 
     def __len__(self) -> int:

@@ -202,9 +202,10 @@ def _write_trace_block(fh, prefix: str, lo: int, block):
     parts[k + 2 :: width] = _format_repeated(block.optimal_arms, ",{},".format)
     parts[k + 3 :: width] = _format_repeated(block.optimal_means, "{!r},".format)
     parts[k + 4 :: width] = _format_repeated(block.realized_regret, "{!r},".format)
-    # safe and m_hat fused into one key: 2 * m_hat + safe
+    # safe and m_hat fused into one key: 2 * m_hat + safe, widened first so
+    # a narrow m_hat column cannot wrap
     parts[k + 5 :: width] = _format_repeated(
-        2 * block.m_hat + block.safe, lambda key: f"{key & 1},{key >> 1}\r\n"
+        2 * block.m_hat.astype(np.int64) + block.safe, lambda key: f"{key & 1},{key >> 1}\r\n"
     )
     fh.write("".join(parts))
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from safebandit import (
     IntroExampleEnv,
     LinearChiSquaredRate,
     LinearPerArmOracle,
+    LowerBoundEnv,
     RunTrace,
     action_probs,
     avg_epoch_check,
@@ -431,6 +433,26 @@ class TestEpochLoopIntegration:
         c = run_safe_falcon(env, LinearPerArmOracle(3, 1), cfg, seed=10)
         assert not np.array_equal(a.rewards, c.rewards)
 
+    def test_working_set_beyond_the_trace(self):
+        """Each epoch's per-round arrays are written into the trace and the
+        rest are freed before the fit, so a run allocates at most 100 bytes
+        per row of its last, largest epoch beyond the trace. (With every
+        epoch array kept alive through the fit it was about 150.)"""
+        T = 2**16
+        cfg = AlgorithmConfig(tau1=2, delta=0.05, horizon=T, enable_avg_epoch_test=True)
+        # a short run first, so that one-time allocations (lazy imports,
+        # caches) are not counted when this test runs on its own
+        short = dataclasses.replace(cfg, horizon=256)
+        run_safe_falcon(IntroExampleEnv(), LinearPerArmOracle(2, 1), short, seed=0)
+        tracemalloc.start()
+        try:
+            trace = run_safe_falcon(IntroExampleEnv(), LinearPerArmOracle(2, 1), cfg, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = [v for v in vars(trace).values() if isinstance(v, np.ndarray)]
+        assert peak - sum(col.nbytes for col in columns) <= 100 * (T // 2)
+
 
 def replay_tests(trace, cfg):
     """Replay the misspecification tests on the trace's own rewards with the
@@ -631,7 +653,9 @@ def reference_run(env, oracle, cfg, seed, gamma_scale, run_checks):
                                np.array(cols["rewards"][lo:]))
                 models[m + 1] = oracle.fit(data)
                 gammas[m + 1] = gamma_scale * gamma_m(m + 1, schedule, rate, dp, K)
-    return RunTrace(**{name: np.array(cols[name]) for name in names},
+    # in the engine's column dtypes, so the comparison can stay dtype-strict
+    like = RunTrace.empty(0, env.dim, K)
+    return RunTrace(**{name: np.array(cols[name], dtype=getattr(like, name).dtype) for name in names},
                     detection_round=detection, m_hat_final=m_hat)
 
 
@@ -677,6 +701,10 @@ def _realizable_k9_dim9():
     return realizable_linear_env(9, dim=9, coefficient_seed=4)
 
 
+def _lower_bound_k200():
+    return LowerBoundEnv(200, 0.001)
+
+
 # (id, env factory, tau1, T, avg test, Safe-FALCON?, expected detection round)
 REFERENCE_CASES = [
     *[
@@ -699,6 +727,8 @@ REFERENCE_CASES = [
     ("shifted-realizable-k5", _shifted_realizable_k5, 64, 4400, True, True, 4224),
     # 8 or more arms or context dims: numpy would sum such a row pairwise
     ("realizable-k9-dim9", _realizable_k9_dim9, 8, 2048, True, True, None),
+    # more than 128 arms: the arm columns are int16, not int8
+    ("lower-bound-k200", _lower_bound_k200, 8, 1024, True, True, None),
     ("falcon-plus-intro", _intro, 2, 2048, False, False, None),
     ("falcon-plus-collapse", _collapse(128, -50.0), 64, 2048, False, False, None),
 ]

@@ -101,6 +101,24 @@ class TestRunTrace:
         assert len(trace) == 3
         np.testing.assert_allclose(trace.realized_regret, [0.5, 0.0, 0.5])
 
+    def test_empty_takes_45_bytes_per_round_at_two_arms(self):
+        T = 1000
+        trace = RunTrace.empty(T, 1, 2)
+        columns = [v for v in vars(trace).values() if isinstance(v, np.ndarray)]
+        assert sum(col.nbytes for col in columns) <= 45 * T
+
+    @pytest.mark.parametrize(
+        "K,dtype",
+        [(1, np.int8), (2, np.int8), (128, np.int8), (129, np.int16), (32768, np.int16),
+         (32769, np.int32)],
+    )
+    def test_empty_arm_columns_hold_every_arm(self, K, dtype):
+        trace = RunTrace.empty(3, 1, K)
+        assert trace.actions.dtype == trace.optimal_arms.dtype == dtype
+        assert trace.epoch.dtype == trace.m_hat.dtype == np.int8
+        trace.actions[:] = K - 1
+        assert trace.actions[0] == K - 1
+
 
 def _built_in_model(kind, rng, K, dim):
     if kind == "constant":

@@ -214,6 +214,11 @@ def multi_block_trace():
     # two-digit fallback indices and failed checks, across a block edge
     trace.m_hat[block - 5 : block + 5] = 12
     trace.safe[block : block + 3] = False
+    # the narrow m_hat column up to its largest value: 2 * m_hat + safe
+    # would wrap from m_hat = 64 in the column's own dtype
+    assert trace.m_hat.dtype == np.int8 and trace.actions.dtype == np.int8
+    trace.m_hat[-6:] = [63, 64, 100, 127, 126, 127]
+    trace.safe[-2:] = False
     # values told apart only by their bits, across a block edge: optimal
     # means and, with a reward of 0.0, realized regrets
     payload_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
@@ -257,7 +262,8 @@ class TestTraceWriter:
         assert written == (tmp_path / "reference.csv").read_bytes()
         for text in (b",1e-05,", b",1e+16,", b",5e-324,", b",-0.0,"):
             assert text in written
-        for text in (b",0,12\r\n", b",1,12\r\n", b",-0.0,-0.0,", b",nan,nan,", b",-inf,-inf,"):
+        for text in (b",0,12\r\n", b",1,12\r\n", b",1,64\r\n", b",1,127\r\n", b",0,127\r\n",
+                     b",-0.0,-0.0,", b",nan,nan,", b",-inf,-inf,"):
             assert text in written
 
     def test_memory_does_not_grow_with_the_horizon(self, tmp_path):
