@@ -9,7 +9,6 @@ from .algorithms import (
     choose_safe,
     gamma_m,
     l_prime,
-    lower_bound_L,
     run_falcon_plus,
     run_safe_falcon,
     safety_check_times,

@@ -41,23 +41,20 @@ class AlgorithmConfig:
         return self.delta / 13.0
 
 
-def _first_max(rows, out=None):
+def _first_max(rows):
     """Elementwise max over the first (arm) axis and the index of the first
-    arm reaching it, the arm ``np.argmax`` picks. Each step is one op over
-    the rounds, with no branch per element. A max of zero may carry either
-    sign when arms tie at +0.0 and -0.0. ``out`` is an optional (index, max)
-    pair of arrays shaped like a row to write the two results into; the index
-    array's dtype must hold len(rows) - 1."""
-    if out is None:
-        out = np.empty(rows.shape[1:], dtype=np.intp), np.empty(rows.shape[1:])
-    best, top = out
-    best[...] = 0
-    top[...] = rows[0]
+    arm reaching it, as an intp and a float array shaped like a row, in one
+    op per arm over the rounds. The index is the one ``np.argmax`` gives on
+    NaN-free rows; after a NaN no arm can win, so ``[1.0, nan]`` gives 0
+    where ``np.argmax`` gives 1 (the max is NaN either way). A max of zero
+    may carry either sign when arms tie at +0.0 and -0.0."""
+    best = np.zeros(rows.shape[1:], dtype=np.intp)
+    top = rows[0]
     for k in range(1, len(rows)):
         # arms come in increasing order, so a strictly better arm carries
         # the largest index so far
-        np.copyto(best, k, where=rows[k] > top)
-        np.maximum(top, rows[k], out=top)
+        np.maximum(best, k * (rows[k] > top), out=best)
+        top = np.maximum(top, rows[k])
     return best, top
 
 
@@ -282,19 +279,6 @@ def _check_plan(schedule: EpochSchedule, rate: EstimationRate, delta_prime: floa
     return plan
 
 
-def lower_bound_L(
-    t: int,
-    m: int,
-    l_prev: float,
-    schedule: EpochSchedule,
-    rate: EstimationRate,
-    delta_prime: float,
-    K: int,
-) -> float:
-    """Cumulative-reward floor L_t whose violation signals misspecification."""
-    return float(thresholds(t, m, l_prev, schedule, rate, delta_prime, K)[0])
-
-
 def check_is_safe(
     m: int,
     t: int,
@@ -378,18 +362,21 @@ def _run_epoch_loop(
         X, means, R = env.sample_batch(env_rng, hi - lo)
         trace.contexts[lo:hi] = X
         trace.reward_vectors[lo:hi] = R
-        _first_max(means.T, out=(trace.optimal_arms[lo:hi], trace.optimal_means[lo:hi]))
+        trace.optimal_arms[lo:hi], trace.optimal_means[lo:hi] = _first_max(means.T)
         del means
         # the epoch's rows of the trace, as views: the arms and rewards are
         # written there, and the checks and the fit read them there
         X, R = trace.contexts[lo:hi], trace.reward_vectors[lo:hi]
         A, r = trace.actions[lo:hi], trace.rewards[lo:hi]
-        U = act_rng.random(hi - lo)
         safe = detection_round is None
         if safe:
             model, gamma = policies[m]
-        # after a detection, model and gamma stay the fallback's
-        _draw_arms(action_probs(model.values_batch(X), gamma), U, out=A)
+        # after a detection, model and gamma stay the fallback's; drawing
+        # the uniforms after the kernel keeps them out of its working set
+        P = action_probs(model.values_batch(X), gamma)
+        U = act_rng.random(hi - lo)
+        _draw_arms(P, U, out=A)
+        del P
         _gather(R, A, r)
         trace.safe[lo:hi] = safe
 

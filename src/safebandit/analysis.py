@@ -144,15 +144,6 @@ def kernel_from_policy_distribution(policies: np.ndarray, Q: np.ndarray, env: Ta
     return p
 
 
-def expected_inverse_probability(p: np.ndarray, pi, env: TabularEnv) -> float:
-    """V(p, pi) = E_x[1 / p(pi(x) | x)]."""
-    pi = np.asarray(pi, dtype=int)
-    probs = p[np.arange(env.n_contexts), pi]
-    if np.any(probs <= 0):
-        raise ValueError("policy plays a zero-probability action")
-    return float(np.sum(env.context_probs / probs))
-
-
 def policy_regret(table: np.ndarray, pi, env: TabularEnv) -> float:
     """Reg_f(pi) for the model given by a value table."""
     pi = np.asarray(pi, dtype=int)

@@ -64,8 +64,6 @@ def _cmd_compare(args) -> int:
 
 def _cmd_lowerbound_check(args) -> int:
     K, B = args.K, args.B
-    if args.seed < 0:
-        raise ConfigError("seed must be >= 0")
     try:
         env = LowerBoundEnv(K, B)
     except ValueError as e:
@@ -74,7 +72,7 @@ def _cmd_lowerbound_check(args) -> int:
     brute = lower_bound_sqrt_b_bruteforce(K, B)
     print(f"sqrt(B) analytic:    {analytic:.12f}")
     print(f"sqrt(B) brute force: {brute:.12f}")
-    rng = np.random.Generator(np.random.Philox(args.seed))
+    rng = np.random.Generator(np.random.Philox(0))
     values = set()
     for _ in range(100):
         g = rng.random(K)
@@ -130,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lb.add_argument("--K", type=int, default=2)
     p_lb.add_argument("--B", type=float, default=1.0 / 16)
-    p_lb.add_argument("--seed", type=int, default=0)
     p_lb.set_defaults(func=_cmd_lowerbound_check)
 
     p_vr = sub.add_parser("validate-rate", help="check estimation-rate validity")

@@ -21,7 +21,6 @@ from safebandit.analysis import (
     aggregate_runs,
     average_misspecification_tabular,
     epoch_summaries,
-    expected_inverse_probability,
     kernel_from_policy_distribution,
     lower_bound_instance_regret,
     lower_bound_sqrt_b_bruteforce,
@@ -82,18 +81,6 @@ class TestDuality:
             best = table.max(axis=1)
             rhs = float(np.sum(env.context_probs[:, None] * p * (best[:, None] - table)))
             assert lhs == pytest.approx(rhs, abs=1e-10)
-
-    def test_expected_inverse_probability(self):
-        env = TabularEnv([[0.2, 0.8], [0.6, 0.4]], context_probs=[0.25, 0.75])
-        p = np.full((2, 2), 0.5)
-        assert expected_inverse_probability(p, [0, 1], env) == pytest.approx(2.0)
-        point = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert expected_inverse_probability(point, [0, 1], env) == pytest.approx(1.0)
-        assert expected_inverse_probability(
-            np.array([[0.5, 0.5], [0.25, 0.75]]), [1, 1], env
-        ) == pytest.approx(0.25 / 0.5 + 0.75 / 0.75)
-        with pytest.raises(ValueError):
-            expected_inverse_probability(point, [1, 1], env)
 
     def test_policy_space_limit(self):
         env = TabularEnv(np.full((12, 3), 0.5))

@@ -458,7 +458,6 @@ class TestCli:
             ["validate-rate", "--delta", "2"],
             ["lowerbound-check", "--K", "1"],
             ["lowerbound-check", "--B", "0.9"],
-            ["lowerbound-check", "--seed", "-1"],
         ],
         ids=" ".join,
     )

@@ -154,6 +154,29 @@ def test_action_probs_and_draw_equal_reference(K, seed, n, grid, gamma):
 
 
 @settings(max_examples=60, deadline=None)
+@given(K=st.integers(1, 12), seed=common["seed"], n=common["n"], grid=common["grid"])
+def test_first_max_equals_argmax_and_max(K, seed, n, grid):
+    """NaN-free rows, tied maxima and -0.0 included: the index is
+    ``np.argmax``'s, and the max equals ``np.max``'s up to the sign of a
+    zero."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    V = _values(rng, n, K, grid).T
+    best, top = _first_max(V)
+    assert same_bits(best, np.argmax(V, axis=0))
+    assert (top == np.max(V, axis=0)).all()
+
+
+def test_first_max_stops_at_the_first_nan():
+    """A NaN makes the max NaN, and no arm after it can win: the index is the
+    first arm reaching the max of the arms before the first NaN."""
+    V = np.array([[1.0, 0.5, np.nan], [np.nan, 2.0, 1.0], [5.0, np.nan, 2.0], [0.0, 3.0, 3.0]])
+    best, top = _first_max(V)
+    assert best.tolist() == [0, 1, 0]
+    assert np.argmax(V, axis=0).tolist() == [1, 2, 0]
+    assert np.isnan(top).all()
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     K=st.integers(2, 7),
     dim=st.integers(1, 7),
