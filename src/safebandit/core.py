@@ -39,29 +39,38 @@ def zero_model(K: int) -> ConstantModel:
 
 
 class LinearPerArmModel(OutcomeModel):
-    """Per-arm affine model: intercept[a] + slope[a] . x, clamped to [0, 1]."""
+    """Per-arm affine model: intercept[a] + slope[a] . x, clamped to [0, 1].
+
+    ``values_batch`` also takes one (dim,) context and returns its (K,)
+    values, with the same bits as row 0 of a batch of that one row.
+    """
 
     def __init__(self, intercepts, slopes):
         self.intercepts = np.asarray(intercepts, dtype=float)
         self.slopes = np.atleast_2d(np.asarray(slopes, dtype=float))
         if self.slopes.shape[0] != self.intercepts.shape[0]:
             raise ValueError("one slope row per arm required")
-        # arm-major (K, 1) views, taken once: one per context dim, and the
-        # intercepts
-        self._slope_columns = [self.slopes[:, d, None] for d in range(self.slopes.shape[1])]
-        self._intercept_column = self.intercepts[:, None]
+        # arm-major views, taken once, by the number of context axes: (K,)
+        # per context dim and the intercepts against one context's values,
+        # (K, 1) against a batch's columns
+        dims = range(self.slopes.shape[1])
+        self._arm_major = {
+            1: ([self.slopes[:, d] for d in dims], self.intercepts),
+            2: ([self.slopes[:, d, None] for d in dims], self.intercepts[:, None]),
+        }
 
     def values_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        # Arm-major (K, n), summed over the context dims in order from +0.0:
-        # each row is rounded the same way whatever the number of rows (a
-        # BLAS product is not), and every op runs along the n rounds.
-        total = np.zeros((len(self.intercepts), len(X)))
-        for d in range(X.shape[1]):
-            total += self._slope_columns[d] * X[:, d]
+        slope_columns, intercept_column = self._arm_major[X.ndim]
+        # Arm-major (K,) or (K, n), summed over the context dims in order
+        # from +0.0: each row is rounded the same way whatever the number of
+        # rows (a BLAS product is not), and every op runs along the n rounds.
+        total = np.zeros(self.intercepts.shape + X.shape[:-1])
+        for d in range(X.shape[-1]):
+            total += slope_columns[d] * X[..., d]
         # in place: addition commutes and the method is np.clip's ufunc, so
         # the bits equal np.clip(intercepts + total, 0, 1)
-        total += self._intercept_column
+        total += intercept_column
         return total.clip(0.0, 1.0, out=total).T
 
 

@@ -20,10 +20,12 @@ class BanditEnvironment:
     so realized counterfactual regret is well defined. ``sample(rng)`` draws
     one round as (context, mean vector, reward vector).
 
-    Subclasses override one of the two samplers. A stateless environment
-    overrides ``sample_batch``, and ``sample`` returns row 0 of a batch of
-    one. A stateful one overrides ``sample``, and the default
-    ``sample_batch`` calls it once per round, in order.
+    The built-in environments draw a round and a batch from one body, and
+    their ``means_batch`` also maps one (dim,) context to its (K,) means.
+    A user environment overrides one of the two samplers. A stateless one
+    may override ``sample_batch`` alone, and the default ``sample`` returns
+    row 0 of a batch of one. A stateful one overrides ``sample``, and the
+    default ``sample_batch`` calls it once per round, in order.
     """
 
     K: int
@@ -68,7 +70,20 @@ def _check_row(env, x, means, rewards):
         )
 
 
-class IntroExampleEnv(BanditEnvironment):
+class _OneBody(BanditEnvironment):
+    """A built-in environment. Its ``_draw(rng, lead)`` draws one round for
+    lead ``()`` and n rounds for lead ``(n,)``, each array shaped ``lead``
+    plus its own axis. A 1-d draw takes the same numbers from the generator
+    as a (1, .) draw, so a round has the bits of row 0 of a batch of one."""
+
+    def sample(self, rng):
+        return self._draw(rng, ())
+
+    def sample_batch(self, rng, n):
+        return self._draw(rng, (n,))
+
+
+class IntroExampleEnv(_OneBody):
     """Two arms, x ~ Uniform[0,1]: a step arm paying 1{x > 0.5} and a flat
     arm paying 0.5, with independent N(0,1) noise added to each arm's reward.
 
@@ -81,22 +96,22 @@ class IntroExampleEnv(BanditEnvironment):
 
     @staticmethod
     def means_batch(X) -> np.ndarray:
-        # filled arm-major, one contiguous row per arm; returned as the
-        # (n, 2) transposed view
-        means = np.empty((2, len(X)))
-        means[0] = X[:, 0] > 0.5
+        # filled arm-major, one contiguous row per arm; returned as (2,) for
+        # one context and as the (n, 2) transposed view for a batch
+        means = np.empty((2,) + X.shape[:-1])
+        means[0] = X[..., 0] > 0.5
         means[1] = 0.5
         return means.T
 
-    def sample_batch(self, rng, n):
-        X = rng.random((n, 1))
+    def _draw(self, rng, lead):
+        X = rng.random(lead + (1,))
         means = self.means_batch(X)
-        rewards = rng.standard_normal((n, 2))
+        rewards = rng.standard_normal(lead + (2,))
         rewards += means
         return X, means, rewards
 
 
-class LowerBoundEnv(BanditEnvironment):
+class LowerBoundEnv(_OneBody):
     """Hard instance for context-blind kernels: X = (0, K) uniform, arm a
     pays alpha on its own unit interval (a, a+1] (0-indexed) and 0 elsewhere,
     with noiseless rewards and alpha = sqrt(K^2 B / (K-1)).
@@ -118,18 +133,18 @@ class LowerBoundEnv(BanditEnvironment):
         return self.alpha**2 * (self.K - 1) / self.K**2
 
     def means_batch(self, X) -> np.ndarray:
-        arm = np.clip(np.ceil(X[:, 0]) - 1, 0, self.K - 1).astype(int)
-        means = np.zeros((len(X), self.K))
-        means[np.arange(len(X)), arm] = self.alpha
+        arm = np.clip(np.ceil(X[..., 0]) - 1, 0, self.K - 1).astype(int)
+        means = np.zeros(X.shape[:-1] + (self.K,))
+        np.put_along_axis(means, arm[..., None], self.alpha, axis=-1)
         return means
 
-    def sample_batch(self, rng, n):
-        X = rng.random((n, 1)) * self.K
+    def _draw(self, rng, lead):
+        X = rng.random(lead + (1,)) * self.K
         means = self.means_batch(X)
         return X, means, means.copy()
 
 
-class RealizableLinearEnv(BanditEnvironment):
+class RealizableLinearEnv(_OneBody):
     """Control condition: per-arm affine true means, so the linear oracle's
     class contains f*. Rewards are mean + Uniform(-0.1, 0.1), clipped to [0,1].
     """
@@ -144,10 +159,10 @@ class RealizableLinearEnv(BanditEnvironment):
     def means_batch(self, X) -> np.ndarray:
         return self._truth.values_batch(X)
 
-    def sample_batch(self, rng, n):
-        X = rng.random((n, self.dim))
+    def _draw(self, rng, lead):
+        X = rng.random(lead + (self.dim,))
         means = self.means_batch(X)
-        rewards = rng.uniform(-0.1, 0.1, (n, self.K))
+        rewards = rng.uniform(-0.1, 0.1, lead + (self.K,))
         rewards += means
         return X, means, rewards.clip(0.0, 1.0, out=rewards)
 
@@ -166,7 +181,7 @@ def realizable_linear_env(K: int, dim: int, coefficient_seed: int) -> Realizable
     return RealizableLinearEnv(intercepts, slopes)
 
 
-class TabularEnv(BanditEnvironment):
+class TabularEnv(_OneBody):
     """Small finite instance for brute-force checks: integer contexts, an
     explicit table of true means, Bernoulli rewards.
     """
@@ -187,10 +202,11 @@ class TabularEnv(BanditEnvironment):
         self._cum = np.cumsum(self.context_probs)
 
     def means_batch(self, X) -> np.ndarray:
-        return self.table[np.asarray(X)[:, 0].astype(int)]
+        # take copies the rows even for one context, whose index is 0-d
+        return self.table.take(np.asarray(X)[..., 0].astype(int), axis=0)
 
-    def sample_batch(self, rng, n):
-        i = np.minimum(np.searchsorted(self._cum, rng.random(n)), self.n_contexts - 1)
-        means = self.means_batch(i[:, None])
-        rewards = (rng.random((n, self.K)) < means).astype(float)
-        return i[:, None].astype(float), means, rewards
+    def _draw(self, rng, lead):
+        i = np.minimum(np.searchsorted(self._cum, rng.random(lead)), self.n_contexts - 1)
+        means = self.means_batch(i[..., None])
+        rewards = (rng.random(lead + (self.K,)) < means).astype(float)
+        return i[..., None].astype(float), means, rewards

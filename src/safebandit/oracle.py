@@ -160,7 +160,8 @@ class LinearPerArmOracle(RegressionOracle):
     intercept-only fit: the mean reward, with zero slopes.
 
     Raises ValueError unless the actions are integers in 0..K-1, one per
-    reward, and every context is finite.
+    reward, and every context and reward is finite: a NaN reward would make
+    its arm's coefficients NaN, and every later draw would play arm 0.
     """
 
     def __init__(self, K: int, dim: int = 1):
@@ -187,6 +188,8 @@ class LinearPerArmOracle(RegressionOracle):
         # before lstsq, which fails on them only after LAPACK writes to stderr
         if not np.isfinite(xs).all():
             raise ValueError("contexts must be finite")
+        if not np.isfinite(rewards).all():
+            raise ValueError("rewards must be finite")
 
         intercepts = np.full(self.K, 0.5)
         slopes = np.zeros((self.K, self.dim))

@@ -18,6 +18,7 @@ from safebandit import (
     realizable_linear_env,
     run_safe_falcon,
 )
+from test_row_path import _coefficients, same_bits
 
 
 def _rng(seed=0):
@@ -149,18 +150,51 @@ BUILT_IN_ENVIRONMENTS = [
 ]
 
 
-@pytest.mark.parametrize("env", BUILT_IN_ENVIRONMENTS, ids=lambda e: type(e).__name__)
+# built-ins, then realizable environments with -0.0 intercepts and means
+# outside [0, 1] on both sides
+ONE_BODY_ENVIRONMENTS = [pytest.param(e, id=type(e).__name__) for e in BUILT_IN_ENVIRONMENTS] + [
+    pytest.param(
+        RealizableLinearEnv(*_coefficients(_rng(seed), K, dim)), id=f"clipped-K{K}-dim{dim}"
+    )
+    for seed, K, dim in ((29, 2, 1), (0, 5, 3), (2, 3, 9))
+]
+
+# contexts each environment's means must map alike one at a time and in a
+# batch: step and interval edges, -0.0, and NaN where the means allow it
+SPECIAL_CONTEXTS = {
+    IntroExampleEnv: [0.5, -0.0, np.nan],
+    LowerBoundEnv: [-0.0, 1.0, 2.0, 3.0],
+    RealizableLinearEnv: [-0.0, np.nan, -3.0, 4.0],
+    TabularEnv: [-0.0, 1.0],
+}
+
+
+@pytest.mark.parametrize("env", ONE_BODY_ENVIRONMENTS)
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**63 - 1), n=st.integers(1, 40))
-def test_one_row_equals_first_batch_row(env, seed, n):
-    x, means, rewards = env.sample(_rng(seed))
-    X, batch_means, batch_rewards = env.sample_batch(_rng(seed), 1)
-    np.testing.assert_array_equal(np.atleast_1d(x), X[0])
-    np.testing.assert_array_equal(means, batch_means[0])
-    np.testing.assert_array_equal(rewards, batch_rewards[0])
+@given(seed=st.integers(0, 2**63 - 1), calls=st.integers(1, 20), n=st.integers(1, 40))
+def test_one_row_equals_first_batch_row(env, seed, calls, n):
+    """Successive rounds on one generator have the bits of successive
+    batches of one: values, dtypes, shapes and the signs of zeros."""
+    rows, batches = _rng(seed), _rng(seed)
+    for _ in range(calls):
+        row, batch = env.sample(rows), env.sample_batch(batches, 1)
+        assert all(same_bits(a, b[0]) for a, b in zip(row, batch))
+    assert same_bits(rows.random(4), batches.random(4))
     X, batch_means, batch_rewards = env.sample_batch(_rng(seed), n)
     assert X.shape == (n, env.dim)
     assert batch_means.shape == batch_rewards.shape == (n, env.K)
+
+
+@pytest.mark.parametrize("env", ONE_BODY_ENVIRONMENTS)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1))
+def test_one_context_means_equal_first_batch_row(env, seed):
+    rng = _rng(seed)
+    X = env.sample_batch(rng, 17)[0]
+    pick = rng.random(X.shape) < 0.3
+    X[pick] = rng.choice(SPECIAL_CONTEXTS[type(env)], X.shape)[pick]
+    for x in X:
+        assert same_bits(env.means_batch(x), env.means_batch(x[None])[0])
 
 
 @pytest.mark.parametrize("env", BUILT_IN_ENVIRONMENTS, ids=lambda e: type(e).__name__)

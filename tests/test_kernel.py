@@ -193,6 +193,20 @@ def test_values_batch_equals_reference(K, dim, seed, n):
     assert same_bits(got, clip_form_values_batch(intercepts, slopes, X))
 
 
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(1, 12), dim=st.integers(1, 10), seed=st.integers(0, 2**63 - 1))
+def test_values_batch_of_one_context_equals_batch_row(K, dim, seed):
+    """One (dim,) context gives the (K,) bits of row 0 of its (1, dim)
+    batch: -0.0 intercepts and contexts, and NaN contexts, included."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    model = LinearPerArmModel(*_model(rng, K, dim))
+    X = rng.uniform(-2.0, 2.0, (17, dim))
+    X[rng.random((17, dim)) < 0.1] = -0.0
+    X[rng.random((17, dim)) < 0.05] = np.nan
+    for x in X:
+        assert same_bits(model.values_batch(x), model.values_batch(x[None])[0])
+
+
 @settings(max_examples=30, deadline=None)
 @given(K=st.integers(8, 12), **common)
 def test_wide_kernel_row_equals_batch_row(K, seed, n, grid, gamma):

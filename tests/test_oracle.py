@@ -8,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safebandit import (
+    AlgorithmConfig,
+    BanditEnvironment,
     CommonRate,
     Dataset,
+    IntroExampleEnv,
     LinearChiSquaredRate,
     LinearPerArmOracle,
+    run_falcon_plus,
     validate_rate,
 )
 
@@ -215,6 +219,37 @@ class TestLinearPerArmOracle:
             LinearPerArmOracle(K=2, dim=1).fit(data)
         assert capfd.readouterr().err == ""
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("arm_rows", [1, 3])
+    def test_non_finite_reward_raises(self, bad, arm_rows):
+        # in an arm that would take its mean (one row) or reach lstsq
+        rewards = np.full(arm_rows + 2, 0.5)
+        rewards[arm_rows - 1] = bad
+        data = Dataset(np.linspace(0.1, 0.9, arm_rows + 2)[:, None],
+                       np.array([0] * arm_rows + [1, 1]), rewards)
+        with pytest.raises(ValueError, match="rewards must be finite"):
+            LinearPerArmOracle(K=2, dim=1).fit(data)
+
+    def test_nan_reward_in_a_run_raises(self):
+        """One NaN reward in epoch 4 stops the run at the fit; a NaN fit
+        would have epoch 5 play arm 0 in all of its 16 rounds."""
+
+        class NaNRewardEnv(BanditEnvironment):
+            K, dim = 2, 1
+
+            def __init__(self, at):
+                self.inner, self.at, self.t = IntroExampleEnv(), at, 0
+
+            def sample(self, rng):
+                self.t += 1
+                x, means, rewards = self.inner.sample(rng)
+                return x, means, np.full(2, np.nan) if self.t == self.at else rewards
+
+        # tau1 = 2: epoch 4 holds rounds 9 to 16
+        cfg = AlgorithmConfig(tau1=2, delta=0.05, horizon=4096)
+        with pytest.raises(ValueError, match="rewards must be finite"):
+            run_falcon_plus(NaNRewardEnv(at=10), LinearPerArmOracle(2, 1), cfg, seed=0)
+
     def test_unsigned_actions_fit_as_signed(self):
         rng = np.random.Generator(np.random.Philox(2))
         xs, rewards = rng.random((40, 2)), rng.random(40)
@@ -256,7 +291,7 @@ def mask_form_fit(K, dim, data):
 def epoch_data(draw):
     """An epoch's rows where some arms have no rows, one row, at most dim
     rows or many; contexts from a coarse grid, so rows repeat and designs
-    lose rank; some rewards NaN or -0.0."""
+    lose rank; some rewards -0.0, and in some epochs NaN."""
     K, dim = draw(st.integers(1, 12)), draw(st.integers(1, 4))
     rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**63 - 1))))
     counts = [draw(st.sampled_from([0, 1, dim, dim + 1, 7, 300])) for _ in range(K)]
@@ -279,6 +314,10 @@ def epoch_data(draw):
 @given(case=epoch_data())
 def test_fit_equals_mask_form(case):
     K, dim, data = case
+    if np.isnan(data.rewards).any():
+        with pytest.raises(ValueError, match="rewards must be finite"):
+            LinearPerArmOracle(K, dim).fit(data)
+        return
     model = LinearPerArmOracle(K, dim).fit(data)
     intercepts, slopes = mask_form_fit(K, dim, data)
     assert model.intercepts.tobytes() == intercepts.tobytes()

@@ -7,6 +7,11 @@ calling ``np.clip``, and the default ``sample_batch`` gathering the rows of
 ``ndarray.clip`` calls the same ufunc as ``np.clip``, so the two must agree
 bit for bit: values, dtypes and the signs of zeros. (``test_kernel.py``
 holds the ``np.clip`` form of ``LinearPerArmModel.values_batch``.)
+
+The stateful ``NegatedEnv`` wraps a built-in environment. Its reference copy
+takes each inner round as the built-ins' ``sample`` gave it before they drew
+a round and a batch from one body: row 0 of ``sample_batch(rng, 1)``. So the
+reference does not run the one-round path it is checked against.
 """
 
 import numpy as np
@@ -45,18 +50,30 @@ def _coefficients(rng, K, dim):
     return intercepts, slopes
 
 
+def batch_of_one(env):
+    """``env``'s rounds as row 0 of a batch of one."""
+
+    def row(rng):
+        X, means, rewards = env.sample_batch(rng, 1)
+        return X[0], means[0], rewards[0]
+
+    return row
+
+
 class NegatedEnv(BanditEnvironment):
     """Stateful: the inner environment's rows, with means and rewards
-    negated after round ``at``, so rows clipped to 0 turn into -0.0."""
+    negated after round ``at``, so rows clipped to 0 turn into -0.0. Each
+    inner row comes from ``row(rng)``, by default the inner ``sample``."""
 
-    def __init__(self, inner, at):
+    def __init__(self, inner, at, row=None):
         self.inner, self.at = inner, at
+        self.row = row or inner.sample
         self.K, self.dim = inner.K, inner.dim
         self.t = 0
 
     def sample(self, rng):
         self.t += 1
-        x, means, rewards = self.inner.sample(rng)
+        x, means, rewards = self.row(rng)
         if self.t > self.at:
             return x, -means, -rewards
         return x, means, rewards
@@ -82,8 +99,8 @@ def test_realizable_sample_batch_equals_reference(K, dim, seed, n):
 @settings(max_examples=30, deadline=None)
 @given(at=st.integers(0, 20), **common)
 def test_default_sample_batch_equals_reference(K, dim, seed, n, at):
-    coefficients = _coefficients(np.random.Generator(np.random.Philox(seed)), K, dim)
-    envs = [NegatedEnv(RealizableLinearEnv(*coefficients), at) for _ in range(2)]
+    inner = RealizableLinearEnv(*_coefficients(np.random.Generator(np.random.Philox(seed)), K, dim))
+    envs = [NegatedEnv(inner, at), NegatedEnv(inner, at, batch_of_one(inner))]
     got = envs[0].sample_batch(np.random.Generator(np.random.Philox(seed)), n)
     want = reference_default_sample_batch(envs[1], np.random.Generator(np.random.Philox(seed)), n)
     assert all(same_bits(a, b) for a, b in zip(got, want))
@@ -97,8 +114,8 @@ def test_default_sample_batch_equals_reference(K, dim, seed, n, at):
 @given(seed=st.integers(0, 2**63 - 1), n=st.sampled_from(ROWS), at=st.integers(0, 20))
 def test_default_sample_batch_equals_reference_on_integer_contexts(seed, n, at):
     # TabularEnv's contexts are integer-valued floats
-    table = np.random.Generator(np.random.Philox(seed)).random((4, 3))
-    envs = [NegatedEnv(TabularEnv(table), at) for _ in range(2)]
+    inner = TabularEnv(np.random.Generator(np.random.Philox(seed)).random((4, 3)))
+    envs = [NegatedEnv(inner, at), NegatedEnv(inner, at, batch_of_one(inner))]
     got = envs[0].sample_batch(np.random.Generator(np.random.Philox(seed)), n)
     want = reference_default_sample_batch(envs[1], np.random.Generator(np.random.Philox(seed)), n)
     assert all(same_bits(a, b) for a, b in zip(got, want))
