@@ -62,6 +62,8 @@ class LinearPerArmModel(OutcomeModel):
     def values_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         slope_columns, intercept_column = self._arm_major[X.ndim]
+        if X.shape[-1] != len(slope_columns):
+            raise ValueError(f"contexts of shape {X.shape} for a model of dim {len(slope_columns)}")
         # Arm-major (K,) or (K, n), summed over the context dims in order
         # from +0.0: each row is rounded the same way whatever the number of
         # rows (a BLAS product is not), and every op runs along the n rounds.

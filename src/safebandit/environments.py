@@ -22,10 +22,10 @@ class BanditEnvironment:
 
     The built-in environments draw a round and a batch from one body, and
     their ``means_batch`` also maps one (dim,) context to its (K,) means.
-    A user environment overrides one of the two samplers. A stateless one
-    may override ``sample_batch`` alone, and the default ``sample`` returns
-    row 0 of a batch of one. A stateful one overrides ``sample``, and the
-    default ``sample_batch`` calls it once per round, in order.
+    A user environment takes one of two forms. It overrides ``sample_batch``,
+    the only sampler the engine calls; or, when a round depends on the rounds
+    before it, it overrides ``sample``, and the default ``sample_batch``
+    calls it once per round, in order.
     """
 
     K: int
@@ -35,12 +35,9 @@ class BanditEnvironment:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator):
-        X, means, rewards = self.sample_batch(rng, 1)
-        return X[0], means[0], rewards[0]
+        raise NotImplementedError("override sample or sample_batch")
 
     def sample_batch(self, rng: np.random.Generator, n: int):
-        if type(self).sample is BanditEnvironment.sample:
-            raise NotImplementedError("override sample or sample_batch")
         K, dim, sample = self.K, self.dim, self.sample
         X, means, rewards = np.empty((n, dim)), np.empty((n, K)), np.empty((n, K))
         for i in range(n):

@@ -1,0 +1,34 @@
+"""Helpers shared by the test modules."""
+
+import numpy as np
+
+from safebandit import BanditEnvironment
+
+
+def same_bits(a, b):
+    """Equal dtypes, shapes and bytes, so the signs of zeros count too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def coefficients(rng, K, dim):
+    """Means that leave [0, 1] on both sides, some zero terms negative."""
+    intercepts = rng.uniform(-0.5, 1.5, K)
+    slopes = rng.uniform(-1.0, 1.0, (K, dim))
+    slopes[rng.random((K, dim)) < 0.2] = 0.0
+    intercepts[rng.random(K) < 0.2] = -0.0
+    return intercepts, slopes
+
+
+class Edited(BanditEnvironment):
+    """Stateful: ``edit(t, x, means, rewards)`` of round t, counted from 1 and
+    never reset, as ``row(rng)`` draws it, by default ``inner.sample``."""
+
+    def __init__(self, inner, edit, row=None):
+        self.edit, self.row = edit, row or inner.sample
+        self.K, self.dim = inner.K, inner.dim
+        self.t = 0
+
+    def sample(self, rng):
+        self.t += 1
+        return self.edit(self.t, *self.row(rng))

@@ -36,6 +36,7 @@ from safebandit import (
 )
 from safebandit import algorithms
 from safebandit.algorithms import EXPLORATION_CONSTANT, FALCON_PLUS_GAMMA_SCALE
+from support import Edited
 
 RATE = LinearChiSquaredRate()
 
@@ -668,28 +669,13 @@ class LowPayCollapseEnv(CollapseEnv):
     pay = (0.4, 0.1)
 
 
-class ShiftedEnv(BanditEnvironment):
-    """Lowers every arm's mean and reward by ``by`` after round ``at``."""
-
-    def __init__(self, inner, at, by):
-        self.inner, self.at, self.by = inner, at, by
-        self.K, self.dim = inner.K, inner.dim
-        self.t = 0
-
-    def sample(self, rng):
-        self.t += 1
-        x, means, rewards = self.inner.sample(rng)
-        if self.t > self.at:
-            return x, means - self.by, rewards - self.by
-        return x, means, rewards
-
-
 def _intro():
     return IntroExampleEnv()
 
 
 def _shifted_realizable_k5():
-    return ShiftedEnv(realizable_linear_env(5, 1, coefficient_seed=20210229), 2048, 5.0)
+    return Edited(realizable_linear_env(5, 1, coefficient_seed=20210229),
+                  lambda t, x, m, r: (x, m - 5.0, r - 5.0) if t > 2048 else (x, m, r))
 
 
 def _realizable_k3_dim2():

@@ -7,7 +7,6 @@ import pytest
 
 from safebandit import (
     AlgorithmConfig,
-    BanditEnvironment,
     EpochSchedule,
     LinearChiSquaredRate,
     LinearPerArmOracle,
@@ -30,6 +29,7 @@ from safebandit.analysis import (
     policy_space,
     tabular_kernel_family,
 )
+from support import Edited
 
 RATE = LinearChiSquaredRate()
 
@@ -219,23 +219,12 @@ def summaries(epochs, means):
     return np.array(epochs), np.ones(len(epochs), dtype=int), np.array(means, dtype=float)
 
 
-class DropEnv(BanditEnvironment):
-    """A realizable environment whose rewards drop by 50 after round 300."""
-
-    def __init__(self):
-        self.inner = realizable_linear_env(3, dim=1, coefficient_seed=3)
-        self.K, self.dim, self.t = 3, 1, 0
-
-    def sample(self, rng):
-        self.t += 1
-        x, means, rewards = self.inner.sample(rng)
-        return x, means, rewards - 50.0 * (self.t > 300)
-
-
 class TestEpochSummaries:
     def test_slices_equal_masks(self):
         cfg = AlgorithmConfig(tau1=8, delta=0.05, horizon=3000, enable_avg_epoch_test=True)
-        trace = run_safe_falcon(DropEnv(), LinearPerArmOracle(3, 1), cfg, seed=0)
+        drop = Edited(realizable_linear_env(3, dim=1, coefficient_seed=3),
+                      lambda t, x, m, r: (x, m, r - 50.0 * (t > 300)))
+        trace = run_safe_falcon(drop, LinearPerArmOracle(3, 1), cfg, seed=0)
         d = trace.detection_round
         # the detection falls inside an epoch, which is cut there and ends
         # at the horizon, not at an epoch boundary

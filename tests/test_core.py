@@ -79,6 +79,13 @@ class TestModels:
     def test_linear_model_shape_mismatch(self):
         with pytest.raises(ValueError):
             LinearPerArmModel([0.1, 0.2, 0.3], [[0.4], [0.5]])
+        # a context with fewer or more values than the model's dim, alone
+        # and in a batch
+        model = LinearPerArmModel([0.1, 0.2], [[0.3, 0.5], [0.2, 0.1]])
+        for x in ([0.5], [0.5] * 3):
+            for values in (model.values, model.values_batch, lambda x: model.values_batch([x])):
+                with pytest.raises(ValueError, match="model of dim 2"):
+                    values(x)
 
     def test_tabular_model(self):
         m = TabularModel([[0.1, 0.9], [0.8, 0.2]])

@@ -18,7 +18,7 @@ from safebandit import (
     realizable_linear_env,
     run_safe_falcon,
 )
-from test_row_path import _coefficients, same_bits
+from support import coefficients, same_bits
 
 
 def _rng(seed=0):
@@ -154,7 +154,7 @@ BUILT_IN_ENVIRONMENTS = [
 # outside [0, 1] on both sides
 ONE_BODY_ENVIRONMENTS = [pytest.param(e, id=type(e).__name__) for e in BUILT_IN_ENVIRONMENTS] + [
     pytest.param(
-        RealizableLinearEnv(*_coefficients(_rng(seed), K, dim)), id=f"clipped-K{K}-dim{dim}"
+        RealizableLinearEnv(*coefficients(_rng(seed), K, dim)), id=f"clipped-K{K}-dim{dim}"
     )
     for seed, K, dim in ((29, 2, 1), (0, 5, 3), (2, 3, 9))
 ]
@@ -208,6 +208,10 @@ def test_environment_without_sampler_raises():
         K = 2
         dim = 1
 
+    class BatchOnly(Bare):
+        def sample_batch(self, rng, n):
+            return IntroExampleEnv().sample_batch(rng, n)
+
     cfg = AlgorithmConfig(tau1=2, delta=0.05, horizon=8)
     draws = [
         lambda env: env.sample(_rng()),
@@ -219,6 +223,11 @@ def test_environment_without_sampler_raises():
             draw(Bare())
     with pytest.raises(NotImplementedError):
         Bare().means_batch(np.zeros((1, 1)))
+    # overriding sample_batch alone is enough to play; there is no one-round sampler
+    sample, _, play = draws
+    assert len(play(BatchOnly())) == 8
+    with pytest.raises(NotImplementedError, match="override sample or sample_batch"):
+        sample(BatchOnly())
 
 
 class RowEnv(BanditEnvironment):

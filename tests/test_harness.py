@@ -10,7 +10,6 @@ import pytest
 
 from safebandit import (
     AlgorithmConfig,
-    BanditEnvironment,
     IntroExampleEnv,
     LinearPerArmOracle,
     LowerBoundEnv,
@@ -34,6 +33,7 @@ from safebandit.harness import (
     run_replications,
     write_trace_csv,
 )
+from support import Edited
 
 
 def small_config(tmp_path, **overrides):
@@ -187,21 +187,6 @@ def reference_write_trace_csv(path, traces):
                 )
 
 
-class DropEnv(BanditEnvironment):
-    """The intro example with every reward lowered by 50 after round 300."""
-
-    K, dim = 2, 1
-
-    def __init__(self):
-        self.inner = IntroExampleEnv()
-        self.t = 0
-
-    def sample(self, rng):
-        self.t += 1
-        x, means, rewards = self.inner.sample(rng)
-        return x, means, rewards - (50.0 if self.t > 300 else 0.0)
-
-
 def multi_block_trace():
     """A Safe-FALCON trace over three writer blocks, the last one partial,
     with K = 11 (two-digit arms) and dim 2, edited by hand where the writer
@@ -235,7 +220,8 @@ def multi_block_trace():
 class TestTraceWriter:
     def test_bytes_equal_the_csv_module_reference(self, tmp_path):
         cfg = AlgorithmConfig(tau1=8, delta=0.05, horizon=1000, enable_avg_epoch_test=True)
-        drop = run_safe_falcon(DropEnv(), LinearPerArmOracle(2, 1), cfg, seed=3)
+        drop = Edited(IntroExampleEnv(), lambda t, x, m, r: (x, m, r - (50.0 if t > 300 else 0.0)))
+        drop = run_safe_falcon(drop, LinearPerArmOracle(2, 1), cfg, seed=3)
         wide = realizable_linear_env(3, dim=2, coefficient_seed=4)
         wider = realizable_linear_env(4, dim=3, coefficient_seed=6)
         odd = run_falcon_plus(IntroExampleEnv(), LinearPerArmOracle(2, 1), cfg, seed=6)

@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 
 from safebandit import IntroExampleEnv, LinearPerArmModel, RunTrace, action_probs
 from safebandit.algorithms import _draw_arms, _first_max
+from support import coefficients, same_bits
 
 ROWS = (1, 2, 17, 4096)
 
@@ -100,11 +101,6 @@ def fancy_index_realized_regret(trace):
     return trace.reward_vectors[idx, trace.optimal_arms] - trace.rewards
 
 
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def _values(rng, n, K, grid):
     """Values in [0, 1); on a coarse grid many rows hold tied maxima, and
     some zeros are negative."""
@@ -123,14 +119,6 @@ def _uniforms(rng, p):
     u[pick] = cum[pick, rng.integers(0, p.shape[-1], len(p))[pick]]
     u[rng.random(len(p)) < 0.05] = 1.0
     return u
-
-
-def _model(rng, K, dim):
-    intercepts = rng.uniform(-0.5, 1.5, K)
-    slopes = rng.uniform(-1.0, 1.0, (K, dim))
-    slopes[rng.random((K, dim)) < 0.2] = 0.0
-    intercepts[rng.random(K) < 0.2] = -0.0
-    return intercepts, slopes
 
 
 common = dict(
@@ -185,7 +173,7 @@ def test_first_max_stops_at_the_first_nan():
 )
 def test_values_batch_equals_reference(K, dim, seed, n):
     rng = np.random.Generator(np.random.Philox(seed))
-    intercepts, slopes = _model(rng, K, dim)
+    intercepts, slopes = coefficients(rng, K, dim)
     X = rng.uniform(-2.0, 2.0, (n, dim))
     X[rng.random((n, dim)) < 0.1] = -0.0
     got = LinearPerArmModel(intercepts, slopes).values_batch(X)
@@ -199,7 +187,7 @@ def test_values_batch_of_one_context_equals_batch_row(K, dim, seed):
     """One (dim,) context gives the (K,) bits of row 0 of its (1, dim)
     batch: -0.0 intercepts and contexts, and NaN contexts, included."""
     rng = np.random.Generator(np.random.Philox(seed))
-    model = LinearPerArmModel(*_model(rng, K, dim))
+    model = LinearPerArmModel(*coefficients(rng, K, dim))
     X = rng.uniform(-2.0, 2.0, (17, dim))
     X[rng.random((17, dim)) < 0.1] = -0.0
     X[rng.random((17, dim)) < 0.05] = np.nan
@@ -231,7 +219,7 @@ def test_wide_kernel_row_equals_batch_row(K, seed, n, grid, gamma):
 )
 def test_wide_values_row_equals_batch_row(K, dim, seed, n):
     rng = np.random.Generator(np.random.Philox(seed))
-    intercepts, slopes = _model(rng, K, dim)
+    intercepts, slopes = coefficients(rng, K, dim)
     model = LinearPerArmModel(intercepts, slopes)
     X = rng.uniform(-2.0, 2.0, (n, dim))
     batch = model.values_batch(X)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from safebandit import (
     AlgorithmConfig,
-    BanditEnvironment,
     CommonRate,
     Dataset,
     IntroExampleEnv,
@@ -18,6 +17,7 @@ from safebandit import (
     run_falcon_plus,
     validate_rate,
 )
+from support import Edited
 
 
 class TestLinearChiSquaredRate:
@@ -234,21 +234,12 @@ class TestLinearPerArmOracle:
         """One NaN reward in epoch 4 stops the run at the fit; a NaN fit
         would have epoch 5 play arm 0 in all of its 16 rounds."""
 
-        class NaNRewardEnv(BanditEnvironment):
-            K, dim = 2, 1
-
-            def __init__(self, at):
-                self.inner, self.at, self.t = IntroExampleEnv(), at, 0
-
-            def sample(self, rng):
-                self.t += 1
-                x, means, rewards = self.inner.sample(rng)
-                return x, means, np.full(2, np.nan) if self.t == self.at else rewards
-
         # tau1 = 2: epoch 4 holds rounds 9 to 16
+        nan_at_10 = Edited(IntroExampleEnv(),
+                           lambda t, x, m, r: (x, m, np.full(2, np.nan) if t == 10 else r))
         cfg = AlgorithmConfig(tau1=2, delta=0.05, horizon=4096)
         with pytest.raises(ValueError, match="rewards must be finite"):
-            run_falcon_plus(NaNRewardEnv(at=10), LinearPerArmOracle(2, 1), cfg, seed=0)
+            run_falcon_plus(nan_at_10, LinearPerArmOracle(2, 1), cfg, seed=0)
 
     def test_unsigned_actions_fit_as_signed(self):
         rng = np.random.Generator(np.random.Philox(2))

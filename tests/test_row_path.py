@@ -8,7 +8,7 @@ calling ``np.clip``, and the default ``sample_batch`` gathering the rows of
 bit for bit: values, dtypes and the signs of zeros. (``test_kernel.py``
 holds the ``np.clip`` form of ``LinearPerArmModel.values_batch``.)
 
-The stateful ``NegatedEnv`` wraps a built-in environment. Its reference copy
+The stateful negated environment wraps a built-in one. Its reference copy
 takes each inner round as the built-ins' ``sample`` gave it before they drew
 a round and a batch from one body: row 0 of ``sample_batch(rng, 1)``. So the
 reference does not run the one-round path it is checked against.
@@ -18,7 +18,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safebandit import BanditEnvironment, RealizableLinearEnv, TabularEnv
+from safebandit import RealizableLinearEnv, TabularEnv
+from support import Edited, coefficients, same_bits
 
 ROWS = (1, 2, 17, 4096)
 
@@ -36,47 +37,25 @@ def reference_default_sample_batch(env, rng, n):
     return X, np.array(means, dtype=float), np.array(rewards, dtype=float)
 
 
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def _coefficients(rng, K, dim):
-    """Means that leave [0, 1] on both sides, some zero terms negative."""
-    intercepts = rng.uniform(-0.5, 1.5, K)
-    slopes = rng.uniform(-1.0, 1.0, (K, dim))
-    slopes[rng.random((K, dim)) < 0.2] = 0.0
-    intercepts[rng.random(K) < 0.2] = -0.0
-    return intercepts, slopes
-
-
 def batch_of_one(env):
     """``env``'s rounds as row 0 of a batch of one."""
-
-    def row(rng):
-        X, means, rewards = env.sample_batch(rng, 1)
-        return X[0], means[0], rewards[0]
-
-    return row
+    return lambda rng: tuple(a[0] for a in env.sample_batch(rng, 1))
 
 
-class NegatedEnv(BanditEnvironment):
-    """Stateful: the inner environment's rows, with means and rewards
-    negated after round ``at``, so rows clipped to 0 turn into -0.0. Each
-    inner row comes from ``row(rng)``, by default the inner ``sample``."""
+def assert_negated_equals_reference(inner, at, seed, sizes):
+    """The default ``sample_batch`` of ``inner`` with means and rewards
+    negated after round ``at``, so rows clipped to 0 turn into -0.0, against
+    the reference, over successive calls of ``sizes`` rows: the round count
+    carries from one call to the next."""
 
-    def __init__(self, inner, at, row=None):
-        self.inner, self.at = inner, at
-        self.row = row or inner.sample
-        self.K, self.dim = inner.K, inner.dim
-        self.t = 0
+    def negate(t, x, m, r):
+        return (x, -m, -r) if t > at else (x, m, r)
 
-    def sample(self, rng):
-        self.t += 1
-        x, means, rewards = self.row(rng)
-        if self.t > self.at:
-            return x, -means, -rewards
-        return x, means, rewards
+    env, ref = Edited(inner, negate), Edited(inner, negate, batch_of_one(inner))
+    for i, n in enumerate(sizes):
+        got = env.sample_batch(np.random.Generator(np.random.Philox(seed + i)), n)
+        want = reference_default_sample_batch(ref, np.random.Generator(np.random.Philox(seed + i)), n)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
 
 
 common = dict(
@@ -90,7 +69,7 @@ common = dict(
 @settings(max_examples=60, deadline=None)
 @given(**common)
 def test_realizable_sample_batch_equals_reference(K, dim, seed, n):
-    env = RealizableLinearEnv(*_coefficients(np.random.Generator(np.random.Philox(seed)), K, dim))
+    env = RealizableLinearEnv(*coefficients(np.random.Generator(np.random.Philox(seed)), K, dim))
     got = env.sample_batch(np.random.Generator(np.random.Philox(seed)), n)
     want = reference_realizable_sample_batch(env, np.random.Generator(np.random.Philox(seed)), n)
     assert all(same_bits(a, b) for a, b in zip(got, want))
@@ -99,15 +78,8 @@ def test_realizable_sample_batch_equals_reference(K, dim, seed, n):
 @settings(max_examples=30, deadline=None)
 @given(at=st.integers(0, 20), **common)
 def test_default_sample_batch_equals_reference(K, dim, seed, n, at):
-    inner = RealizableLinearEnv(*_coefficients(np.random.Generator(np.random.Philox(seed)), K, dim))
-    envs = [NegatedEnv(inner, at), NegatedEnv(inner, at, batch_of_one(inner))]
-    got = envs[0].sample_batch(np.random.Generator(np.random.Philox(seed)), n)
-    want = reference_default_sample_batch(envs[1], np.random.Generator(np.random.Philox(seed)), n)
-    assert all(same_bits(a, b) for a, b in zip(got, want))
-    # the rows after ``at`` continue the same round count on the next call
-    got = envs[0].sample_batch(np.random.Generator(np.random.Philox(seed + 1)), 3)
-    want = reference_default_sample_batch(envs[1], np.random.Generator(np.random.Philox(seed + 1)), 3)
-    assert all(same_bits(a, b) for a, b in zip(got, want))
+    inner = RealizableLinearEnv(*coefficients(np.random.Generator(np.random.Philox(seed)), K, dim))
+    assert_negated_equals_reference(inner, at, seed, (n, 3))
 
 
 @settings(max_examples=30, deadline=None)
@@ -115,7 +87,4 @@ def test_default_sample_batch_equals_reference(K, dim, seed, n, at):
 def test_default_sample_batch_equals_reference_on_integer_contexts(seed, n, at):
     # TabularEnv's contexts are integer-valued floats
     inner = TabularEnv(np.random.Generator(np.random.Philox(seed)).random((4, 3)))
-    envs = [NegatedEnv(inner, at), NegatedEnv(inner, at, batch_of_one(inner))]
-    got = envs[0].sample_batch(np.random.Generator(np.random.Philox(seed)), n)
-    want = reference_default_sample_batch(envs[1], np.random.Generator(np.random.Philox(seed)), n)
-    assert all(same_bits(a, b) for a, b in zip(got, want))
+    assert_negated_equals_reference(inner, at, seed, (n,))
