@@ -6,6 +6,11 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2.0: ndarray.clip itself, the same bits
+    _clip = np.ndarray.clip
+
 
 class OutcomeModel:
     """Deterministic map from (context, arm) to a mean reward in [0, 1].
@@ -42,7 +47,10 @@ class LinearPerArmModel(OutcomeModel):
     """Per-arm affine model: intercept[a] + slope[a] . x, clamped to [0, 1].
 
     ``values_batch`` also takes one (dim,) context and returns its (K,)
-    values, with the same bits as row 0 of a batch of that one row.
+    values, with the same bits as row 0 of a batch of that one row. The
+    clamp calls numpy's ``clip`` ufunc directly, the one ``ndarray.clip``
+    ends in for float arrays, so its bits are those of ``ndarray.clip``
+    without its Python-level wrapper.
     """
 
     def __init__(self, intercepts, slopes):
@@ -61,19 +69,21 @@ class LinearPerArmModel(OutcomeModel):
 
     def values_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        slope_columns, intercept_column = self._arm_major[X.ndim]
-        if X.shape[-1] != len(slope_columns):
-            raise ValueError(f"contexts of shape {X.shape} for a model of dim {len(slope_columns)}")
+        # None unless X is one context or a batch
+        views = self._arm_major.get(X.ndim)
+        if views is None or X.shape[-1] != len(views[0]):
+            raise ValueError(f"contexts of shape {X.shape} for a model of dim {self.slopes.shape[1]}")
+        slope_columns, intercept_column = views
         # Arm-major (K,) or (K, n), summed over the context dims in order
         # from +0.0: each row is rounded the same way whatever the number of
         # rows (a BLAS product is not), and every op runs along the n rounds.
         total = np.zeros(self.intercepts.shape + X.shape[:-1])
         for d in range(X.shape[-1]):
             total += slope_columns[d] * X[..., d]
-        # in place: addition commutes and the method is np.clip's ufunc, so
-        # the bits equal np.clip(intercepts + total, 0, 1)
+        # in place: addition commutes and _clip is np.clip's ufunc, so the
+        # bits equal np.clip(intercepts + total, 0, 1)
         total += intercept_column
-        return total.clip(0.0, 1.0, out=total).T
+        return _clip(total, 0.0, 1.0, out=total).T
 
 
 class TabularModel(OutcomeModel):

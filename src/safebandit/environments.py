@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .core import LinearPerArmModel
+from .core import LinearPerArmModel, _clip
 
 
 class BanditEnvironment:
@@ -158,10 +158,13 @@ class RealizableLinearEnv(_OneBody):
 
     def _draw(self, rng, lead):
         X = rng.random(lead + (self.dim,))
-        means = self.means_batch(X)
+        # the true model itself, one call frame less per round than through
+        # means_batch; a subclass with other means overrides _draw as well
+        means = self._truth.values_batch(X)
         rewards = rng.uniform(-0.1, 0.1, lead + (self.K,))
         rewards += means
-        return X, means, rewards.clip(0.0, 1.0, out=rewards)
+        # the ufunc ndarray.clip ends in, without its Python-level wrapper
+        return X, means, _clip(rewards, 0.0, 1.0, out=rewards)
 
 
 def realizable_linear_env(K: int, dim: int, coefficient_seed: int) -> RealizableLinearEnv:

@@ -13,6 +13,8 @@ from safebandit import (
     TabularModel,
     zero_model,
 )
+from safebandit.core import _clip
+from support import same_bits
 
 
 class TestEpochSchedule:
@@ -86,6 +88,28 @@ class TestModels:
             for values in (model.values, model.values_batch, lambda x: model.values_batch([x])):
                 with pytest.raises(ValueError, match="model of dim 2"):
                     values(x)
+        # neither one context nor a batch: a scalar and a 3-d array
+        model = LinearPerArmModel([0.1, 0.2], [[0.3], [0.4]])
+        for X in (0.5, np.zeros((1, 1, 1))):
+            with pytest.raises(ValueError, match=r"shape \(.*\) for a model of dim 1"):
+                model.values_batch(X)
+
+    def test_clip_handle_has_ndarray_clip_bits(self):
+        # signed zeros and NaNs, a NaN payload, infinities, the smallest
+        # subnormals, and values on both sides of [0, 1]
+        specials = np.array(
+            [0x8000000000000000, 0, 0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123,
+             0x7FF0000000000000, 0xFFF0000000000000, 1, 0x8000000000000001],
+            dtype=np.uint64,
+        ).view(float)
+        values = np.concatenate([specials, [-0.25, -3.0, 0.5, 1.5, 7.0]])
+        rng = np.random.default_rng(0)
+        for a in (values, np.stack([rng.permutation(values) for _ in range(3)], axis=1)):
+            want = a.copy()
+            want.clip(0.0, 1.0, out=want)
+            got = a.copy()
+            assert _clip(got, 0.0, 1.0, out=got) is got
+            assert same_bits(got, want)
 
     def test_tabular_model(self):
         m = TabularModel([[0.1, 0.9], [0.8, 0.2]])

@@ -91,6 +91,15 @@ class TestRealizableLinearEnv:
         means = env.means_batch(np.array([[0.49], [0.51]]))
         np.testing.assert_array_equal(np.argmax(means, axis=1), [1, 0])
 
+    def test_subclass_means_batch_is_called(self):
+        class Halved(RealizableLinearEnv):
+            def means_batch(self, X):
+                return 0.5 * super().means_batch(X)
+
+        env = Halved([0.3, 0.6], [[0.4], [-0.2]])
+        X = np.array([[0.25], [0.75]])
+        np.testing.assert_array_equal(env.means_batch(X), 0.5 * RealizableLinearEnv.means_batch(env, X))
+
     def test_rewards_bounded(self):
         env = realizable_linear_env(3, dim=1, coefficient_seed=42)
         rng = _rng(5)
