@@ -20,7 +20,6 @@ from .core import (
     LinearPerArmModel,
     OutcomeModel,
     RunTrace,
-    TabularModel,
     zero_model,
 )
 from .environments import (

@@ -29,8 +29,7 @@ class AlgorithmConfig:
     enable_avg_epoch_test: bool = False
 
     def __post_init__(self):
-        if self.tau1 < 2:
-            raise ValueError("tau1 must be >= 2")
+        EpochSchedule(self.tau1)  # raises for a tau1 it cannot hold
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if self.horizon < 1:

@@ -1,6 +1,9 @@
 """Misspecification and regret analytics: average misspecification on small
 instances, the lower-bound instance identities, m*, kernel/policy duality, and
 per-epoch regret aggregation.
+
+The tabular analytics take each model as its value table: an array of shape
+(contexts, K) whose row x holds the model's values at context x.
 """
 
 from __future__ import annotations
@@ -17,44 +20,34 @@ from .oracle import EstimationRate
 
 MAX_POLICY_SPACE = 3**6
 
-
-def _model_table(model, env: TabularEnv) -> np.ndarray:
-    if isinstance(model, np.ndarray):
-        return model
-    return model.values_batch(np.arange(env.n_contexts)[:, None])
+_KERNEL_GAMMAS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0)
 
 
-def tabular_kernel_family(
-    env: TabularEnv, models, gammas=(0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0)
-) -> list[np.ndarray]:
-    """Finite inner approximation of the kernel set induced by the models:
-    the uniform kernel, each model's greedy kernel, and inverse-gap kernels
-    on a gamma grid."""
+def tabular_kernel_family(env: TabularEnv, tables) -> list[np.ndarray]:
+    """Finite inner approximation of the kernel set induced by the models,
+    each given by its (contexts, K) value table: the uniform kernel, each
+    model's greedy kernel, and inverse-gap kernels on ``_KERNEL_GAMMAS``."""
     nX, K = env.n_contexts, env.K
     kernels = [np.full((nX, K), 1.0 / K)]
-    for model in models:
-        table = _model_table(model, env)
+    for table in tables:
         greedy = np.zeros((nX, K))
         greedy[np.arange(nX), np.argmax(table, axis=1)] = 1.0
         kernels.append(greedy)
-        for g in gammas:
+        for g in _KERNEL_GAMMAS:
             kernels.append(action_probs(table, g))
     return kernels
 
 
-def average_misspecification_tabular(
-    env: TabularEnv, models, kernels=None
-) -> float:
-    """Max over the kernel family of the min over models of the expected
-    squared error against the true table; returns the square root."""
-    if len(models) == 0:
+def average_misspecification_tabular(env: TabularEnv, tables) -> float:
+    """Max over the kernel family of the min over models, each given by its
+    (contexts, K) value table, of the expected squared error against the
+    true table; returns the square root."""
+    if len(tables) == 0:
         raise ValueError("model list must be non-empty")
-    tables = [_model_table(model, env) for model in models]
-    if kernels is None:
-        kernels = tabular_kernel_family(env, tables)
+    tables = [np.asarray(table, dtype=float) for table in tables]
     mu = env.context_probs
     best = 0.0
-    for p in kernels:
+    for p in tabular_kernel_family(env, tables):
         inner = min(float(np.sum(mu[:, None] * p * (table - env.table) ** 2)) for table in tables)
         best = max(best, inner)
     return math.sqrt(best)
@@ -76,7 +69,7 @@ def lower_bound_instance_regret(K: int, B: float, g) -> float:
     return regret
 
 
-def lower_bound_sqrt_b_bruteforce(K: int, B: float, cells_per_arm: int = 128) -> float:
+def lower_bound_sqrt_b_bruteforce(K: int, B: float) -> float:
     """Brute-force average misspecification of the lower-bound instance over
     arm-constant kernels, using a per-arm discretization of the context space.
 
@@ -86,8 +79,8 @@ def lower_bound_sqrt_b_bruteforce(K: int, B: float, cells_per_arm: int = 128) ->
     largest per-arm value.
     """
     env = LowerBoundEnv(K, B)
-    # midpoints of a uniform grid on (0, K); equal cells per unit interval
-    n = K * cells_per_arm
+    # midpoints of a uniform grid on (0, K); 128 cells per unit interval
+    n = K * 128
     xs = (np.arange(n) + 0.5) * (K / n)
     table = env.means_batch(xs[:, None])
     w = np.full(n, 1.0 / n)

@@ -6,10 +6,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-try:
-    from numpy._core.umath import clip as _clip
-except ImportError:  # numpy < 2.0: ndarray.clip itself, the same bits
-    _clip = np.ndarray.clip
+from numpy._core.umath import clip as _clip
 
 
 class OutcomeModel:
@@ -36,7 +33,8 @@ class ConstantModel(OutcomeModel):
         self._values = np.clip(np.asarray(values, dtype=float), 0.0, 1.0)
 
     def values_batch(self, X) -> np.ndarray:
-        return np.broadcast_to(self._values, (len(X), len(self._values)))
+        # (K,) for one context, (n, K) for a batch, as LinearPerArmModel's
+        return np.broadcast_to(self._values, np.shape(X)[:-1] + self._values.shape)
 
 
 def zero_model(K: int) -> ConstantModel:
@@ -86,16 +84,6 @@ class LinearPerArmModel(OutcomeModel):
         return _clip(total, 0.0, 1.0, out=total).T
 
 
-class TabularModel(OutcomeModel):
-    """Model on a finite context set; contexts are integer indices."""
-
-    def __init__(self, table):
-        self.table = np.clip(np.asarray(table, dtype=float), 0.0, 1.0)
-
-    def values_batch(self, X) -> np.ndarray:
-        return self.table[np.asarray(X)[:, 0].astype(int)]
-
-
 @dataclass(frozen=True)
 class EpochSchedule:
     """Doubling epoch boundaries: tau_0 = 0, tau_m = tau_1 * 2^(m-1)."""
@@ -103,8 +91,9 @@ class EpochSchedule:
     tau1: int
 
     def __post_init__(self):
-        if self.tau1 < 2:
-            raise ValueError("tau1 must be >= 2")
+        # epoch sizes of several epochs are int64 arrays
+        if not 2 <= self.tau1 < 2**63:
+            raise ValueError("tau1 must lie in [2, 2^63)")
 
     def tau(self, m: int) -> int:
         if m < 0:

@@ -190,14 +190,15 @@ class TabularEnv(_OneBody):
         self.table = np.asarray(table, dtype=float)
         if self.table.ndim != 2:
             raise ValueError("table must be (num contexts, K)")
-        if np.any(self.table < 0) or np.any(self.table > 1):
+        # written so that NaN fails each check
+        if not np.all((self.table >= 0) & (self.table <= 1)):
             raise ValueError("table entries must be probabilities")
         self.n_contexts, self.K = self.table.shape
         self.dim = 1
         if context_probs is None:
             context_probs = np.full(self.n_contexts, 1.0 / self.n_contexts)
         self.context_probs = np.asarray(context_probs, dtype=float)
-        if abs(self.context_probs.sum() - 1.0) > 1e-12 or np.any(self.context_probs < 0):
+        if not (abs(self.context_probs.sum() - 1.0) <= 1e-12 and np.all(self.context_probs >= 0)):
             raise ValueError("context_probs must be a distribution")
         self._cum = np.cumsum(self.context_probs)
 

@@ -65,19 +65,17 @@ class RateValidationReport:
         return not self.failures
 
 
-def validate_rate(
-    rate: EstimationRate,
-    delta: float,
-    n_max: int,
-    zeta_grid=(0.001, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9),
-) -> RateValidationReport:
+_ZETA_GRID = (0.001, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9)
+
+
+def validate_rate(rate: EstimationRate, delta: float, n_max: int) -> RateValidationReport:
     """Check the two validity conditions on a rate over a finite grid.
 
     Condition 1: n -> xi(n, delta/ln(n)) is non-increasing. Checked on every
     integer n in [3, n_max]; the chi-squared closed form is only monotone from
     n = 3 onward, and below that zeta = delta/ln(n) exceeds delta anyway.
     Condition 2: xi(n, zeta) >= ln(1/zeta)/n, checked on a geometric subgrid
-    of n crossed with a fixed zeta grid plus delta/ln(n).
+    of n crossed with the fixed ``_ZETA_GRID`` plus delta/ln(n).
     A NaN or infinite xi anywhere on either grid is a failure too.
     """
     if not 0.0 < delta < 1.0:
@@ -110,7 +108,7 @@ def validate_rate(
         )
     ).astype(float)
     zeta_n = delta / np.log(np.maximum(n_grid, 3.0))  # as the epoch schedule ties it to n
-    fixed = [(zeta, math.log(1.0 / zeta), "%g" % zeta) for zeta in zeta_grid]
+    fixed = [(zeta, math.log(1.0 / zeta), "%g" % zeta) for zeta in _ZETA_GRID]
     tied = [(zeta_n, np.log(1.0 / zeta_n), "delta/ln(n)")]
     # at most one failure from each group: the fixed grid's first failing zeta
     for group in (fixed, tied):

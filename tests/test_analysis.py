@@ -11,7 +11,6 @@ from safebandit import (
     LinearChiSquaredRate,
     LinearPerArmOracle,
     TabularEnv,
-    TabularModel,
     realizable_linear_env,
     run_falcon_plus,
     run_safe_falcon,
@@ -91,13 +90,12 @@ class TestDuality:
 class TestAverageMisspecification:
     def test_zero_when_realizable(self):
         env = TabularEnv([[0.2, 0.8], [0.6, 0.4]])
-        models = [TabularModel(env.table), TabularModel([[0.5, 0.5], [0.5, 0.5]])]
-        assert average_misspecification_tabular(env, models) == pytest.approx(0.0, abs=1e-12)
+        tables = [env.table, [[0.5, 0.5], [0.5, 0.5]]]
+        assert average_misspecification_tabular(env, tables) == pytest.approx(0.0, abs=1e-12)
 
     def test_positive_when_misspecified(self):
         env = TabularEnv([[0.0, 1.0], [1.0, 0.0]])
-        models = [TabularModel([[0.5, 0.5], [0.5, 0.5]])]
-        b = average_misspecification_tabular(env, models)
+        b = average_misspecification_tabular(env, [[[0.5, 0.5], [0.5, 0.5]]])
         assert b > 0.3
 
     def test_requires_models(self):
@@ -107,7 +105,7 @@ class TestAverageMisspecification:
 
     def test_kernel_family_rows_are_distributions(self):
         env = TabularEnv([[0.2, 0.8], [0.6, 0.4]])
-        kernels = tabular_kernel_family(env, [TabularModel([[0.9, 0.1], [0.1, 0.9]])])
+        kernels = tabular_kernel_family(env, [[[0.9, 0.1], [0.1, 0.9]]])
         for p in kernels:
             np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(p >= 0)

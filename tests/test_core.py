@@ -10,7 +10,6 @@ from safebandit import (
     EpochSchedule,
     LinearPerArmModel,
     RunTrace,
-    TabularModel,
     zero_model,
 )
 from safebandit.core import _clip
@@ -53,6 +52,10 @@ class TestEpochSchedule:
     def test_invalid(self):
         with pytest.raises(ValueError):
             EpochSchedule(1)
+        # an epoch-size array holds tau1 as an int64
+        with pytest.raises(ValueError, match="tau1"):
+            EpochSchedule(2**63)
+        assert EpochSchedule(2**63 - 1).epoch_size(np.array([1, 2])).tolist() == [2**63 - 1] * 2
         with pytest.raises(ValueError):
             EpochSchedule(2).tau(-1)
         with pytest.raises(ValueError):
@@ -111,10 +114,6 @@ class TestModels:
             assert _clip(got, 0.0, 1.0, out=got) is got
             assert same_bits(got, want)
 
-    def test_tabular_model(self):
-        m = TabularModel([[0.1, 0.9], [0.8, 0.2]])
-        np.testing.assert_allclose(m.values(1), [0.8, 0.2])
-
 
 class TestRunTrace:
     def test_realized_regret(self):
@@ -154,25 +153,21 @@ class TestRunTrace:
 def _built_in_model(kind, rng, K, dim):
     if kind == "constant":
         return ConstantModel(rng.uniform(-0.5, 1.5, K))
-    if kind == "linear":
-        return LinearPerArmModel(rng.uniform(-1, 2, K), rng.uniform(-3, 3, (K, dim)))
-    return TabularModel(rng.uniform(-0.5, 1.5, (6, K)))
+    return LinearPerArmModel(rng.uniform(-1, 2, K), rng.uniform(-3, 3, (K, dim)))
 
 
-@pytest.mark.parametrize("kind", ["constant", "linear", "tabular"])
+@pytest.mark.parametrize("kind", ["constant", "linear"])
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**63 - 1), K=st.integers(1, 6), dim=st.integers(1, 3),
        n=st.integers(1, 64))
 def test_batch_rows_equal_one_row_values(kind, seed, K, dim, n):
     rng = np.random.Generator(np.random.Philox(seed))
     model = _built_in_model(kind, rng, K, dim)
-    if kind == "tabular":
-        X = rng.integers(0, 6, (n, 1)).astype(float)
-    else:
-        X = rng.uniform(-5, 5, (n, dim)) * rng.choice([1e-3, 1.0, 1e3], (n, dim))
+    X = rng.uniform(-5, 5, (n, dim)) * rng.choice([1e-3, 1.0, 1e3], (n, dim))
     batch = model.values_batch(X)
     assert batch.shape == (n, K)
     for i in range(n):
-        one = model.values(X[i, 0] if kind == "tabular" else X[i])
-        assert one.shape == (K,)
-        np.testing.assert_array_equal(batch[i], one)
+        # one (dim,) context, through values and straight to values_batch
+        for one in (model.values(X[i]), model.values_batch(X[i])):
+            assert one.shape == (K,)
+            np.testing.assert_array_equal(batch[i], one)

@@ -134,6 +134,11 @@ class TestTabularEnv:
             TabularEnv([[0.2, 0.4]], context_probs=[0.5])
         with pytest.raises(ValueError):
             TabularEnv(np.zeros(3))
+        # NaN fails every range check, in the table and in the context probs
+        for table, probs in (([[np.nan, 0.5], [0.2, 0.3]], None), ([[0.5, 0.5]], [np.nan]),
+                             ([[0.5, 0.5], [0.2, 0.3]], [np.nan, np.nan])):
+            with pytest.raises(ValueError):
+                TabularEnv(table, context_probs=probs)
 
     def test_monte_carlo_means(self):
         env = TabularEnv([[0.2, 0.8], [0.6, 0.4]], context_probs=[0.3, 0.7])

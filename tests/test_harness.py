@@ -366,6 +366,15 @@ class TestCli:
                      "--b-seed", "-1", "--out", out]) == 2
         assert not (tmp_path / "bad").exists()
 
+    def test_tau1_past_int64_exit_code(self, tmp_path, capsys):
+        # epoch sizes are int64 arrays: 2^63 is a config error, not an
+        # OverflowError, and the largest tau1 they hold still runs
+        out = str(tmp_path / "huge")
+        assert main(["run", "--tau1", str(2**63), "--T", "64", "--out", out]) == 2
+        assert "tau1" in capsys.readouterr().err
+        assert not (tmp_path / "huge").exists()
+        assert main(["run", "--tau1", str(2**63 - 1), "--T", "64", "--out", out]) == 0
+
     def test_over_budget_exit_code(self, tmp_path, monkeypatch):
         # 400000 runs of 1024 rounds exceed the budget; nothing may run
         def fail(*args):
