@@ -166,15 +166,8 @@ def safety_check_times(m: int, schedule: EpochSchedule) -> list[int]:
     offsets into the epoch, plus the epoch's final round."""
     if m < 2:
         raise ValueError("checks only run from epoch 2 onward")
-    start = schedule.tau(m - 1)
-    size = schedule.tau(m) - start
-    times = set()
-    offset = 1
-    while offset <= size:
-        times.add(start + offset)
-        offset <<= 1
-    times.add(schedule.tau(m))
-    return sorted(times)
+    start, size = schedule.tau(m - 1), schedule.epoch_size(m)
+    return sorted({start + (1 << k) for k in range(size.bit_length())} | {start + size})
 
 
 def _floor_terms(
@@ -194,8 +187,9 @@ def _floor_terms(
     epochs = np.arange(1, m.max() + 1)
     sizes = schedule.epoch_size(epochs)
     lo = sizes[m - 1]
-    if ((ts <= lo) | (ts > 2 * lo)).any():
-        where = f"epoch {m}, rounds {lo + 1}..{2 * lo}" if m.ndim == 0 else "their epochs"
+    # ts - lo, and lo as a Python int, since 2 * lo can pass int64
+    if ((ts <= lo) | (ts - lo > lo)).any():
+        where = f"epoch {m}, rounds {int(lo) + 1}..{2 * int(lo)}" if m.ndim == 0 else "their epochs"
         raise ValueError(f"check rounds must lie in {where}")
     # per-epoch arrays from epoch 2 on: epoch m is row m - 2
     row = m - 2
@@ -210,7 +204,7 @@ def _floor_terms(
     )[row]
     scale = EXPLORATION_CONSTANT * math.sqrt(K)
     return (
-        np.sqrt(2 * ts * log_m),
+        np.sqrt(2.0 * ts * log_m),
         scale * explored,
         scale * sqrt_xi[row],
         np.sqrt(2.0 / (ts - lo) * log_m),
@@ -260,11 +254,8 @@ def _check_plan(schedule: EpochSchedule, rate: EstimationRate, delta_prime: floa
     """Each epoch m >= 2 of a T-round run mapped to its check rounds up to
     T, their rows in the epoch and their floors' data-free terms, all from
     one ``_floor_terms`` call."""
-    times = {}
-    m = 2
-    while schedule.tau(m - 1) < T:
-        times[m] = [t for t in safety_check_times(m, schedule) if t <= T]
-        m += 1
+    epochs = range(2, schedule.epoch_of(T) + 1)
+    times = {m: [t for t in safety_check_times(m, schedule) if t <= T] for m in epochs}
     if not times:
         return {}
     ts = np.array([t for epoch in times.values() for t in epoch])
@@ -343,7 +334,8 @@ def _run_epoch_loop(
     T = config.horizon
     # the schedule-only work, paid once per run: gamma of epochs 2.. and the
     # check rounds with their floors' data-free terms
-    gammas = gamma_scale * gamma_m(np.arange(2, schedule.epoch_of(T) + 1), schedule, rate, dp, K)
+    last = schedule.epoch_of(T)
+    gammas = gamma_scale * gamma_m(np.arange(2, last + 1), schedule, rate, dp, K)
     checks = _check_plan(schedule, rate, dp, K, T) if run_checks else {}
 
     # (model, gamma) played in each epoch; epoch 1's is the uniform kernel
@@ -354,9 +346,7 @@ def _run_epoch_loop(
     detection_round = None
     trace = RunTrace.empty(T, env.dim, K)
 
-    m = 0
-    while schedule.tau(m) < T:
-        m += 1
+    for m in range(1, last + 1):
         lo, hi = schedule.tau(m - 1), min(schedule.tau(m), T)
         X, means, R = env.sample_batch(env_rng, hi - lo)
         trace.contexts[lo:hi] = X

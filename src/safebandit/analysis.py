@@ -30,6 +30,9 @@ def tabular_kernel_family(env: TabularEnv, tables) -> list[np.ndarray]:
     nX, K = env.n_contexts, env.K
     kernels = [np.full((nX, K), 1.0 / K)]
     for table in tables:
+        table = np.asarray(table, dtype=float)
+        if table.shape != (nX, K):
+            raise ValueError(f"value tables must have shape {(nX, K)}, not {table.shape}")
         greedy = np.zeros((nX, K))
         greedy[np.arange(nX), np.argmax(table, axis=1)] = 1.0
         kernels.append(greedy)
@@ -58,7 +61,8 @@ def lower_bound_instance_regret(K: int, B: float, g) -> float:
     on the lower-bound instance; independent of g and >= sqrt(K B / 2)."""
     alpha = LowerBoundEnv(K, B).alpha
     g = np.asarray(g, dtype=float)
-    if len(g) != K or np.any(g < 0) or abs(g.sum() - 1.0) > 1e-9:
+    # the condition that must hold, which a NaN fails
+    if not (len(g) == K and (g >= 0).all() and abs(g.sum() - 1.0) <= 1e-9):
         raise ValueError("g must be a distribution over the K arms")
     # R(pi*) = alpha; every constant-arm policy has value alpha / K.
     regret = float(np.sum(g * (alpha - alpha / K)))
@@ -103,8 +107,7 @@ def m_star(
         raise ValueError("B must be nonnegative")
     last = 0
     for m in range(1, m_cap + 1):
-        n = schedule.tau(m) - schedule.tau(m - 1)
-        if B <= float(rate.xi(n, delta_prime / m**2)):
+        if B <= float(rate.xi(schedule.epoch_size(m), delta_prime / m**2)):
             last = m
     if last == m_cap:
         return None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -91,6 +92,8 @@ class EpochSchedule:
     tau1: int
 
     def __post_init__(self):
+        # a Python int, so that tau and epoch_of are exact for any round
+        object.__setattr__(self, "tau1", operator.index(self.tau1))
         # epoch sizes of several epochs are int64 arrays
         if not 2 <= self.tau1 < 2**63:
             raise ValueError("tau1 must lie in [2, 2^63)")
@@ -103,24 +106,27 @@ class EpochSchedule:
         return self.tau1 << (m - 1)
 
     def epoch_of(self, t: int) -> int:
+        """The epoch m with tau_{m-1} < t <= tau_m, in closed form: one plus
+        the bit length of (t - 1) // tau_1. Exact for any int round t >= 1;
+        a non-integer t raises TypeError."""
+        t = operator.index(t)
         if t < 1:
             raise ValueError("round index must be >= 1")
-        m = 1
-        boundary = self.tau1
-        while t > boundary:
-            boundary <<= 1
-            m += 1
-        return m
+        return 1 + ((t - 1) // self.tau1).bit_length()
 
     def epoch_size(self, m):
         """Rounds in epoch m >= 1, an int or an int array of epochs: tau_1 in
-        epochs 1 and 2, then doubling."""
+        epochs 1 and 2, then doubling. An int gives an exact int; an array
+        gives int64 sizes, and raises ValueError for a size of 2^63 or more."""
         if (np.asarray(m) < 1).any():
             raise ValueError("epoch index must be >= 1")
         if np.ndim(m) == 0:
             # a Python int, exact however large the epoch
             return self.tau1 << max(int(m) - 2, 0)
-        return self.tau1 << np.maximum(m - 2, 0)
+        shift = np.maximum(m - 2, 0)
+        if (shift > 63 - self.tau1.bit_length()).any():
+            raise ValueError("epoch sizes of 2^63 or more do not fit an int64 array")
+        return self.tau1 << shift
 
 
 def _narrowest_int(top: int):

@@ -36,7 +36,7 @@ from safebandit import (
 )
 from safebandit import algorithms
 from safebandit.algorithms import EXPLORATION_CONSTANT, FALCON_PLUS_GAMMA_SCALE
-from support import Edited
+from support import Edited, same_bits
 
 RATE = LinearChiSquaredRate()
 
@@ -302,6 +302,13 @@ class TestThresholdsRejectRoundsOutsideTheEpoch:
         with pytest.raises(ValueError):
             avg_epoch_check(bad, m, 0.5, 0.0, s, RATE, 0.05 / 13, 2)
 
+    def test_past_int64(self):
+        # epoch 2 holds rounds 2^62 + 1 .. 2^63, and 2 * 2^62 is past int64
+        s = EpochSchedule(2**62)
+        assert np.isfinite(thresholds(2**62 + 1, 2, 0.5, s, RATE, 0.05 / 13, 2)).all()
+        with pytest.raises(ValueError, match="rounds 4611686018427387905..9223372036854775808$"):
+            thresholds(2**62, 2, 0.5, s, RATE, 0.05 / 13, 2)
+
     def test_epoch_one(self):
         with pytest.raises(ValueError):
             thresholds(np.array([1, 2]), 1, 0.0, EpochSchedule(2), RATE, 0.05 / 13, 2)
@@ -454,17 +461,20 @@ class TestEpochLoopIntegration:
         assert peak - sum(col.nbytes for col in columns) <= 78 * (T // 2)
 
 
-def replay_tests(trace, cfg):
+def replay_tests(trace, cfg, to_end=False):
     """Replay the misspecification tests on the trace's own rewards with the
     reference functions only. Returns the detection round, the final m_hat,
-    and for every epoch tested (m, its check times up to T, l_{m-1})."""
+    for every epoch tested (m, its check times up to T, l_{m-1}), and each
+    check round's (Crwd_t, the epoch's mean reward up to t), keyed by t. The
+    replay stops at the first failing check unless ``to_end``, which replays
+    every check for its statistics and returns no detection round."""
     schedule = EpochSchedule(cfg.tau1)
     K = trace.reward_vectors.shape[1]
     dp = cfg.delta_prime
     T = cfg.horizon
     crwd = np.cumsum(trace.rewards)
     l_prev, m_hat = 0.0, 0
-    epochs = []
+    epochs, stats = [], {}
     m = 1
     while schedule.tau(m - 1) < T:
         lo, hi = schedule.tau(m - 1), min(schedule.tau(m), T)
@@ -473,33 +483,17 @@ def replay_tests(trace, cfg):
             times = [t for t in safety_check_times(m, schedule) if t <= T]
             epochs.append((m, times, l_prev))
             for t in times:
-                ok = check_is_safe(m, t, l_prev, float(crwd[t - 1]), schedule, RATE, dp, K)
+                total, mean = float(crwd[t - 1]), float(epoch_sum[t - lo - 1]) / (t - lo)
+                stats[t] = total, mean
+                ok = check_is_safe(m, t, l_prev, total, schedule, RATE, dp, K)
                 if ok and cfg.enable_avg_epoch_test:
-                    mean = float(epoch_sum[t - lo - 1]) / (t - lo)
                     ok = avg_epoch_check(t, m, l_prev, mean, schedule, RATE, dp, K)
-                if not ok:
-                    return t, m_hat, epochs
+                if not ok and not to_end:
+                    return t, m_hat, epochs, stats
         if hi == schedule.tau(m):
             l_prev, m_hat = choose_safe(m, trace.rewards[lo:hi], l_prev, m_hat, dp)
         m += 1
-    return None, m_hat, epochs
-
-
-def check_statistics(trace, cfg):
-    """Crwd_t and the epoch's mean reward up to t, keyed by check round t,
-    computed from the trace's rewards as the replay computes them."""
-    schedule = EpochSchedule(cfg.tau1)
-    crwd = np.cumsum(trace.rewards)
-    stats = {}
-    m = 2
-    while schedule.tau(m - 1) < cfg.horizon:
-        lo = schedule.tau(m - 1)
-        epoch_sum = np.cumsum(trace.rewards[lo : schedule.tau(m)])
-        for t in safety_check_times(m, schedule):
-            if t <= cfg.horizon:
-                stats[t] = (float(crwd[t - 1]), float(epoch_sum[t - lo - 1]) / (t - lo))
-        m += 1
-    return stats
+    return None, m_hat, epochs, stats
 
 
 class TestLoopAppliesReferenceTests:
@@ -548,7 +542,7 @@ class TestLoopAppliesReferenceTests:
             want = thresholds(np.array(ts), m, l_prev, schedule, RATE, cfg.delta_prime, 2)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        detection, m_hat, replayed = replay_tests(trace, cfg)
+        detection, m_hat, replayed, _ = replay_tests(trace, cfg)
         assert (detection, m_hat) == (trace.detection_round, trace.m_hat_final)
         assert calls == replayed
         if crash is None:
@@ -563,7 +557,7 @@ class TestLoopAppliesReferenceTests:
             return np.full(len(ts), -np.inf), np.full(len(ts), -np.inf)
 
         passing, _, _ = run(never_fails)
-        stats = check_statistics(passing, cfg)
+        stats = replay_tests(passing, cfg, to_end=True)[3]
 
         def floors_at(raised=None, which=0):
             """Floors equal to the statistics; with ``raised``, floor
@@ -747,3 +741,35 @@ class TestEngineMatchesPerRoundReference:
             assert engine.detection_round == expected
         if expected == 9:
             assert engine.m_hat_final == 0
+
+
+class TestCommonRandomNumbers:
+    """No draw depends on the policy, so one seed, tau1, T and environment
+    give both algorithms the same contexts and reward vectors, and their runs
+    pair up."""
+
+    @pytest.mark.parametrize(
+        "make_env,tau1,T,detects",
+        [
+            (_intro, 2, 4096, False),
+            (lambda: realizable_linear_env(3, 1, coefficient_seed=4), 2, 4096, False),
+            (lambda: LowerBoundEnv(3, 1 / 6), 2, 4096, False),
+            # stateful, so a fresh environment per run; Safe-FALCON detects
+            # the shift in epoch 8 and plays the rest of the run on the fallback
+            (_shifted_realizable_k5, 64, 10000, True),
+        ],
+        ids=["intro", "realizable-linear", "lower-bound", "shifted-realizable-k5"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_both_algorithms_draw_the_same_rounds(self, make_env, tau1, T, detects, seed):
+        cfg = AlgorithmConfig(tau1=tau1, delta=0.05, horizon=T, enable_avg_epoch_test=True)
+        runs = []
+        for algorithm in (run_safe_falcon, run_falcon_plus):
+            env = make_env()
+            runs.append(algorithm(env, LinearPerArmOracle(env.K, env.dim), cfg, seed))
+        safe, plus = runs
+        assert (safe.detection_round is not None) == detects
+        assert same_bits(safe.contexts, plus.contexts)
+        assert same_bits(safe.reward_vectors, plus.reward_vectors)
+        # the policies differ, so the pairing is not one run seen twice
+        assert not np.array_equal(safe.actions, plus.actions)

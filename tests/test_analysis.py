@@ -102,6 +102,13 @@ class TestAverageMisspecification:
         env = TabularEnv([[0.2, 0.8]])
         with pytest.raises(ValueError):
             average_misspecification_tabular(env, [])
+        # one (contexts, K) table per model: neither a (1, K) row, which
+        # would broadcast across the contexts, nor a (K,) vector
+        env = TabularEnv([[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]])
+        for table in (np.array([[0.2, 0.8]]), np.array([0.2, 0.8])):
+            for analytic in (average_misspecification_tabular, tabular_kernel_family):
+                with pytest.raises(ValueError, match="shape"):
+                    analytic(env, [table])
 
     def test_kernel_family_rows_are_distributions(self):
         env = TabularEnv([[0.2, 0.8], [0.6, 0.4]])
@@ -134,6 +141,8 @@ class TestLowerBoundInstance:
             lower_bound_instance_regret(2, 0.5, [0.5, 0.5])
         with pytest.raises(ValueError):
             lower_bound_instance_regret(2, 0.01, [0.7, 0.7])
+        with pytest.raises(ValueError):
+            lower_bound_instance_regret(2, 1.0 / 16, [float("nan"), 0.5])
 
     def test_bound_check_raises(self):
         # K = 2 and B = 1/(2K) put the regret exactly on the bound sqrt(KB/2);

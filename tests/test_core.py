@@ -35,10 +35,14 @@ class TestEpochSchedule:
         assert s.epoch_of(9) == 4
 
     def test_epoch_of_consistent_with_tau(self):
-        s = EpochSchedule(4)
-        for t in range(1, 300):
-            m = s.epoch_of(t)
-            assert s.tau(m - 1) < t <= s.tau(m)
+        for tau1 in (2, 3, 5, 64):
+            s = EpochSchedule(tau1)
+            # each epoch's last and first rounds up to epoch 70, past int64,
+            # and a numpy int
+            edges = [s.tau(m) + d for m in range(1, 70) for d in (0, 1)]
+            for t in [*range(1, 300), *edges, 2**63, 2**100 + 1, np.int64(2**62)]:
+                m = s.epoch_of(t)
+                assert s.tau(m - 1) < t <= s.tau(m)
 
     def test_epoch_size(self):
         for tau1 in (2, 3, 64):
@@ -60,10 +64,15 @@ class TestEpochSchedule:
             EpochSchedule(2).tau(-1)
         with pytest.raises(ValueError):
             EpochSchedule(2).epoch_of(0)
+        with pytest.raises(TypeError):
+            EpochSchedule(2).epoch_of(5.0)
         with pytest.raises(ValueError):
             EpochSchedule(2).epoch_size(0)
         with pytest.raises(ValueError):
             EpochSchedule(2).epoch_size(np.array([2, 0, 3]))
+        # 3 * 2^64 rounds: an int64 array would wrap it to 0
+        with pytest.raises(ValueError, match="int64"):
+            EpochSchedule(3).epoch_size(np.array([66]))
 
 
 class TestModels:
