@@ -46,10 +46,19 @@ class LinearPerArmModel(OutcomeModel):
     """Per-arm affine model: intercept[a] + slope[a] . x, clamped to [0, 1].
 
     ``values_batch`` also takes one (dim,) context and returns its (K,)
-    values, with the same bits as row 0 of a batch of that one row. The
-    clamp calls numpy's ``clip`` ufunc directly, the one ``ndarray.clip``
-    ends in for float arrays, so its bits are those of ``ndarray.clip``
-    without its Python-level wrapper.
+    values, with the same bits as row 0 of a batch of that one row, except
+    that where two NaNs meet the result's NaN payload may differ (the two
+    shapes run different numpy loops).
+
+    It sums arm-major, starting from the first context dim's product and
+    adding the other dims in order, then the intercepts plus +0.0. Those
+    are the bits of a sum started from +0.0: the two starts differ only when
+    every product is -0.0, and then only in the sign of the zero, which the
+    intercepts' +0.0 shift settles (c + 0.0 is c, except that -0.0 becomes
+    +0.0). With no context dims the values are the clamped intercepts plus
+    +0.0. The clamp calls numpy's ``clip`` ufunc directly, the one
+    ``ndarray.clip`` ends in for float arrays, so its bits are those of
+    ``ndarray.clip`` without its Python-level wrapper.
     """
 
     def __init__(self, intercepts, slopes):
@@ -58,12 +67,13 @@ class LinearPerArmModel(OutcomeModel):
         if self.slopes.shape[0] != self.intercepts.shape[0]:
             raise ValueError("one slope row per arm required")
         # arm-major views, taken once, by the number of context axes: (K,)
-        # per context dim and the intercepts against one context's values,
-        # (K, 1) against a batch's columns
+        # per context dim and the shifted intercepts against one context's
+        # values, (K, 1) against a batch's columns
         dims = range(self.slopes.shape[1])
+        shifted = self.intercepts + 0.0
         self._arm_major = {
-            1: ([self.slopes[:, d] for d in dims], self.intercepts),
-            2: ([self.slopes[:, d, None] for d in dims], self.intercepts[:, None]),
+            1: ([self.slopes[:, d] for d in dims], shifted),
+            2: ([self.slopes[:, d, None] for d in dims], shifted[:, None]),
         }
 
     def values_batch(self, X) -> np.ndarray:
@@ -74,14 +84,19 @@ class LinearPerArmModel(OutcomeModel):
             raise ValueError(f"contexts of shape {X.shape} for a model of dim {self.slopes.shape[1]}")
         slope_columns, intercept_column = views
         # Arm-major (K,) or (K, n), summed over the context dims in order
-        # from +0.0: each row is rounded the same way whatever the number of
-        # rows (a BLAS product is not), and every op runs along the n rounds.
-        total = np.zeros(self.intercepts.shape + X.shape[:-1])
-        for d in range(X.shape[-1]):
-            total += slope_columns[d] * X[..., d]
-        # in place: addition commutes and _clip is np.clip's ufunc, so the
-        # bits equal np.clip(intercepts + total, 0, 1)
-        total += intercept_column
+        # from the first product: each row is rounded the same way whatever
+        # the number of rows (a BLAS product is not), and every op runs
+        # along the n rounds. With the intercepts' +0.0 shift the bits are
+        # those of the sum started from +0.0 (class docstring).
+        if slope_columns:
+            total = slope_columns[0] * X[..., 0]
+            for d in range(1, len(slope_columns)):
+                total += slope_columns[d] * X[..., d]
+            total += intercept_column
+        else:
+            # dim 0: no product to start from
+            total = np.array(np.broadcast_to(intercept_column, self.intercepts.shape + X.shape[:-1]))
+        # in place: _clip is np.clip's ufunc, so the bits equal np.clip(total, 0, 1)
         return _clip(total, 0.0, 1.0, out=total).T
 
 
@@ -99,6 +114,9 @@ class EpochSchedule:
             raise ValueError("tau1 must lie in [2, 2^63)")
 
     def tau(self, m: int) -> int:
+        """tau_m, exact for any int epoch m >= 0: a numpy int is taken as a
+        Python int, so the shift does not wrap past int64."""
+        m = operator.index(m)
         if m < 0:
             raise ValueError("epoch index must be >= 0")
         if m == 0:

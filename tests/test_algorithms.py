@@ -143,6 +143,12 @@ class TestSafetyCheckTimes:
         with pytest.raises(ValueError):
             safety_check_times(1, EpochSchedule(2))
 
+    def test_numpy_int_epoch_past_int64(self):
+        # epoch 70 holds rounds 2^69 + 1 .. 2^70, past int64
+        s = EpochSchedule(2)
+        assert safety_check_times(np.int64(70), s) == safety_check_times(70, s)
+        assert safety_check_times(70, s)[-1] == 2**70
+
 
 def straight_line_L(t, m, l_prev, tau1, delta, K, rate):
     """Independent transcription of the L_t formula, summed round by round."""

@@ -23,6 +23,11 @@ class TestEpochSchedule:
         s = EpochSchedule(32)
         assert s.tau(1) == 32 and s.tau(4) == 256
 
+    def test_tau_of_a_numpy_int_past_int64(self):
+        s = EpochSchedule(2)
+        assert s.tau(70) == 2**70
+        assert s.tau(np.int64(70)) == 2**70 and type(s.tau(np.int64(70))) is int
+
     def test_epoch_of(self):
         s = EpochSchedule(2)
         # tau_2 = 4 < 5 <= tau_3 = 8

@@ -12,6 +12,14 @@ in place: it adds the intercepts into a new array and calls ``np.clip``.
 Addition commutes and ``ndarray.clip`` calls the same ufunc, so the two must
 agree bit for bit at any K and dim.
 
+``zero_start_values_batch`` is the arm-major model before its sum started
+from the first product: it sums from +0.0 and adds the intercepts in place.
+It adds every operand in the model's order, so the two must agree bit for
+bit on any input, NaN payloads included. The references above multiply and
+add some operands the other way round; where two NaNs meet, IEEE 754 leaves
+the result's payload and sign to the operand order, so against them a NaN
+only has to stay a NaN.
+
 The ``*_form`` references below are the forms that fewer passes per epoch
 replaced, each of which must still agree with its replacement bit for bit:
 
@@ -63,6 +71,16 @@ def clip_form_values_batch(intercepts, slopes, X):
     for d in range(X.shape[1]):
         total += slopes[:, d, None] * X[:, d]
     return np.clip(intercepts[:, None] + total, 0.0, 1.0).T
+
+
+def zero_start_values_batch(intercepts, slopes, X):
+    # one (dim,) context or an (n, dim) batch, arm-major (K,) or (K, n)
+    axes = tuple(range(1, X.ndim))
+    total = np.zeros(intercepts.shape + X.shape[:-1])
+    for d in range(X.shape[-1]):
+        total += np.expand_dims(slopes[:, d], axes) * X[..., d]
+    total += np.expand_dims(intercepts, axes)
+    return np.clip(total, 0.0, 1.0).T
 
 
 def mask_form_action_probs(values, gamma):
@@ -179,6 +197,84 @@ def test_values_batch_equals_reference(K, dim, seed, n):
     got = LinearPerArmModel(intercepts, slopes).values_batch(X)
     assert same_bits(got, reference_values_batch(intercepts, slopes, X))
     assert same_bits(got, clip_form_values_batch(intercepts, slopes, X))
+    assert same_bits(got, zero_start_values_batch(intercepts, slopes, X))
+
+
+# ±0, ±inf, ±the least subnormal, finite values, quiet NaNs of both signs with
+# payloads, and a signalling NaN
+SPECIAL = np.concatenate(
+    [
+        [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 0.75, -1.5],
+        np.array(
+            [0x7FF8_0000_0000_0001, 0xFFF8_0000_0000_0002, 0x7FF0_0000_0000_0003], dtype=np.uint64
+        ).view(float),
+    ]
+)
+# dim 3 on fewer values per dim; each pick set still makes -0.0 products
+# (-0.0 · 0.0, 5e-324 · -5e-324, 0.75 · -0.0), inf · 0, and NaN · NaN
+SLOPE_PICKS = SPECIAL[[1, 4, 2, 6, 8, 10]]
+CONTEXT_PICKS = SPECIAL[[0, 1, 5, 3, 7, 9]]
+
+
+def _special_grid(dim):
+    """Every intercept in SPECIAL with every slope row, one arm each, and
+    every context: each dim's slope and context from SPECIAL (dims 1 and 2)
+    or from the picks (dim 3)."""
+    slope_values, context_values = (SPECIAL, SPECIAL) if dim < 3 else (SLOPE_PICKS, CONTEXT_PICKS)
+    # fancy indexing copies the bits, NaN payloads included
+    slope_rows = slope_values[np.indices((len(slope_values),) * dim).reshape(dim, -1).T]
+    X = context_values[np.indices((len(context_values),) * dim).reshape(dim, -1).T]
+    intercepts = np.tile(SPECIAL, len(slope_rows))
+    slopes = np.repeat(slope_rows, len(SPECIAL), axis=0)
+    return intercepts, slopes, X
+
+
+def same_bits_but_nan_payloads(a, b):
+    """same_bits, except that where both are NaN the bits may differ."""
+    both = np.isnan(a) & np.isnan(b)
+    return same_bits(np.where(both, np.nan, a), np.where(both, np.nan, b))
+
+
+def test_values_batch_special_values_grid():
+    """The first-product start with the +0.0-shifted intercepts gives the
+    bits of the sum from +0.0 on a grid of special values, including the
+    all -0.0 product chains with a -0.0 intercept, where a first-product
+    start alone would keep the -0.0."""
+    for dim in (1, 2, 3):
+        intercepts, slopes, X = _special_grid(dim)
+        with np.errstate(invalid="ignore"):
+            products = X[:, None, :] * slopes
+            model = LinearPerArmModel(intercepts, slopes)
+            got = model.values_batch(X)
+            rows = [model.values_batch(x) for x in X]
+            want = zero_start_values_batch(intercepts, slopes, X)
+            want_rows = [zero_start_values_batch(intercepts, slopes, x) for x in X]
+            references = [
+                reference_values_batch(intercepts, slopes, X),
+                clip_form_values_batch(intercepts, slopes, X),
+            ]
+        negative_zero = (products == 0) & np.signbit(products)
+        assert (negative_zero.all(axis=-1) & (intercepts == 0) & np.signbit(intercepts)).any()
+        assert same_bits(got, want)
+        assert all(map(same_bits, rows, want_rows))
+        # one context and a batch run different numpy loops
+        assert all(map(same_bits_but_nan_payloads, rows, got))
+        for reference in references:
+            assert same_bits_but_nan_payloads(got, reference)
+
+
+def test_values_batch_of_dim_zero_is_the_clamped_intercepts():
+    """No slope columns, so no first product: one context and a batch give
+    the clamped intercepts, -0.0 made +0.0 as by a sum from +0.0."""
+    intercepts = np.array([0.5, 0.2, -0.0, 1.5, -2.0])
+    model = LinearPerArmModel(intercepts, np.zeros((5, 0)))
+    want = np.clip(intercepts + 0.0, 0.0, 1.0)
+    assert same_bits(model.values_batch(np.zeros(0)), want)
+    assert same_bits(model.values_batch(np.zeros((3, 0))), np.tile(want, (3, 1)))
+    assert same_bits(
+        LinearPerArmModel([0.5, 0.2], np.zeros((2, 0))).values_batch(np.zeros((3, 0))),
+        np.array([[0.5, 0.2]] * 3),
+    )
 
 
 @settings(max_examples=60, deadline=None)
