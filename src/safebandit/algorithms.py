@@ -129,7 +129,7 @@ def gamma_m(
     """Exploitation parameter of epoch m (an int, or an int array of epochs):
     1 in epoch 1, then sqrt(K / (8 xi)) with xi evaluated at the previous
     epoch's size. A float for an int m. Raises ValueError for m < 1 and for
-    a rate whose xi is not positive."""
+    a rate whose xi is not positive, TypeError for any other non-integer m."""
     m = np.asarray(m)
     if (m < 1).any():
         raise ValueError("epoch index must be >= 1")
@@ -251,22 +251,18 @@ def thresholds(
 
 
 def _check_plan(schedule: EpochSchedule, rate: EstimationRate, delta_prime: float, K: int, T: int):
-    """Each epoch m >= 2 of a T-round run mapped to its check rounds up to
-    T, their rows in the epoch and their floors' data-free terms, all from
-    one ``_floor_terms`` call."""
-    epochs = range(2, schedule.epoch_of(T) + 1)
-    times = {m: [t for t in safety_check_times(m, schedule) if t <= T] for m in epochs}
-    if not times:
-        return {}
-    ts = np.array([t for epoch in times.values() for t in epoch])
-    epochs = np.repeat(list(times), [len(epoch) for epoch in times.values()])
-    terms = _floor_terms(ts, epochs, schedule, rate, delta_prime, K)
-    plan, start = {}, 0
-    for m, epoch in times.items():
-        at = slice(start, start + len(epoch))
-        start = at.stop
-        plan[m] = (ts[at], ts[at] - schedule.tau(m - 1) - 1, tuple(term[at] for term in terms))
-    return plan
+    """Every check round of a T-round run up to T, in round order, as int64,
+    and the (4, n) array of their floors' data-free terms, one row per term,
+    from one ``_floor_terms`` call."""
+    rounds, epochs = [], []
+    for m in range(2, schedule.epoch_of(T) + 1):
+        ts = [t for t in safety_check_times(m, schedule) if t <= T]
+        rounds += ts
+        epochs += [m] * len(ts)
+    rounds = np.array(rounds, dtype=np.int64)
+    if not epochs:
+        return rounds, np.empty((4, 0))
+    return rounds, np.array(_floor_terms(rounds, np.array(epochs), schedule, rate, delta_prime, K))
 
 
 def check_is_safe(
@@ -332,14 +328,15 @@ def _run_epoch_loop(
     rate = oracle.rate
     dp = config.delta_prime
     T = config.horizon
-    # the schedule-only work, paid once per run: gamma of epochs 2.. and the
+    # the schedule-only work, paid once per run: every epoch's gamma and the
     # check rounds with their floors' data-free terms
     last = schedule.epoch_of(T)
-    gammas = gamma_scale * gamma_m(np.arange(2, last + 1), schedule, rate, dp, K)
-    checks = _check_plan(schedule, rate, dp, K, T) if run_checks else {}
+    gammas = gamma_scale * gamma_m(np.arange(1, last + 1), schedule, rate, dp, K)
+    rounds, terms = _check_plan(schedule, rate, dp, K, T) if run_checks else (None, None)
 
-    # (model, gamma) played in each epoch; epoch 1's is the uniform kernel
-    policies = {1: (zero_model(K), 1.0)}
+    # the model played in each epoch, epoch m's at m - 1; epoch 1's zero
+    # model has every gap 0, so its kernel is uniform for any finite gamma
+    models = [zero_model(K)]
     l_prev = 0.0
     m_hat = 0
     crwd = 0.0
@@ -359,7 +356,7 @@ def _run_epoch_loop(
         A, r = trace.actions[lo:hi], trace.rewards[lo:hi]
         safe = detection_round is None
         if safe:
-            model, gamma = policies[m]
+            model, gamma = models[m - 1], gammas[m - 1]
         # after a detection, model and gamma stay the fallback's; drawing
         # the uniforms after the kernel keeps them out of its working set
         P = action_probs(model.values_batch(X), gamma)
@@ -374,20 +371,22 @@ def _run_epoch_loop(
             # round-by-round sum
             running = np.cumsum(np.concatenate(([crwd], r)))[1:]
             crwd = float(running[-1])
-            if m in checks:
-                ts, rows, terms = checks[m]
-                floor, avg_floor = _floors(ts, l_prev, schedule.tau1, terms)
+            # the epoch's checks, rounds lo + 1 .. hi; none in epoch 1
+            first, stop = np.searchsorted(rounds, (lo, hi), side="right")
+            if first < stop:
+                ts = rounds[first:stop]
+                floor, avg_floor = _floors(ts, l_prev, schedule.tau1, terms[:, first:stop])
                 # negated, so that a NaN statistic fails as well
-                failed = ~(running[rows] >= floor)
+                failed = ~(running[ts - lo - 1] >= floor)
                 if config.enable_avg_epoch_test:
-                    failed |= ~(np.cumsum(r)[rows] / (ts - lo) >= avg_floor)
+                    failed |= ~(np.cumsum(r)[ts - lo - 1] / (ts - lo) >= avg_floor)
                 if failed.any():
                     t = int(ts[failed.argmax()])
                     detection_round = t
                     trace.safe[t - 1 : hi] = False
                     # m_hat == 0 can only happen when every l'_m so far was
                     # <= 0; fall back to the uniform epoch-1 kernel then.
-                    model, gamma = policies[max(m_hat, 1)]
+                    model, gamma = models[max(m_hat, 1) - 1], gammas[max(m_hat, 1) - 1]
                     rest = slice(t - lo, None)
                     P = action_probs(model.values_batch(X[rest]), gamma)
                     _draw_arms(P, U[rest], out=A[rest])
@@ -402,7 +401,7 @@ def _run_epoch_loop(
             l_prev, m_hat = choose_safe(m, r, l_prev, m_hat, dp)
             trace.m_hat[hi - 1] = m_hat
             if hi < T:
-                policies[m + 1] = (oracle.fit(Dataset(X, A, r)), gammas[m - 1])
+                models.append(oracle.fit(Dataset(X, A, r)))
 
     trace.detection_round = detection_round
     trace.m_hat_final = m_hat

@@ -135,12 +135,16 @@ class EpochSchedule:
     def epoch_size(self, m):
         """Rounds in epoch m >= 1, an int or an int array of epochs: tau_1 in
         epochs 1 and 2, then doubling. An int gives an exact int; an array
-        gives int64 sizes, and raises ValueError for a size of 2^63 or more."""
-        if (np.asarray(m) < 1).any():
-            raise ValueError("epoch index must be >= 1")
+        gives int64 sizes, and raises ValueError for a size of 2^63 or more.
+        A non-integer epoch raises TypeError."""
         if np.ndim(m) == 0:
             # a Python int, exact however large the epoch
-            return self.tau1 << max(int(m) - 2, 0)
+            m = operator.index(m)
+            if m < 1:
+                raise ValueError("epoch index must be >= 1")
+            return self.tau1 << max(m - 2, 0)
+        if (np.asarray(m) < 1).any():
+            raise ValueError("epoch index must be >= 1")
         shift = np.maximum(m - 2, 0)
         if (shift > 63 - self.tau1.bit_length()).any():
             raise ValueError("epoch sizes of 2^63 or more do not fit an int64 array")

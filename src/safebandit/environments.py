@@ -198,6 +198,8 @@ class TabularEnv(_OneBody):
         if context_probs is None:
             context_probs = np.full(self.n_contexts, 1.0 / self.n_contexts)
         self.context_probs = np.asarray(context_probs, dtype=float)
+        if self.context_probs.shape != (self.n_contexts,):
+            raise ValueError(f"context_probs must have shape ({self.n_contexts},)")
         if not (abs(self.context_probs.sum() - 1.0) <= 1e-12 and np.all(self.context_probs >= 0)):
             raise ValueError("context_probs must be a distribution")
         self._cum = np.cumsum(self.context_probs)

@@ -113,15 +113,19 @@ def _parse_bool(s: str) -> bool:
 def load_config_file(path: str) -> ExperimentConfig:
     """Flat key=value config file; blank lines and # comments ignored."""
     cfg = ExperimentConfig()
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, value = (s.strip() for s in line.split("=", 1))
-            cfg = apply_key(cfg, key, value)
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config file {path}: {e}") from e
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, value = (s.strip() for s in line.split("=", 1))
+        cfg = apply_key(cfg, key, value)
     return cfg
 
 

@@ -96,6 +96,11 @@ class TestGammaM:
         with pytest.raises(ValueError):
             gamma_m(0, EpochSchedule(2), RATE, 0.01, 2)
 
+    @pytest.mark.parametrize("m", [2.5, 2.0, 1.0, np.array([1.0, 2.0])])
+    def test_non_integer_epoch_raises(self, m):
+        with pytest.raises(TypeError):
+            gamma_m(m, EpochSchedule(2), LinearChiSquaredRate(), 0.01, 2)
+
     @pytest.mark.parametrize("xi", [0.0, -0.25, float("nan")])
     def test_rate_without_a_positive_xi_raises(self, xi):
         assert gamma_m(1, EpochSchedule(2), FixedRate(xi), 0.01, 2) == 1.0
@@ -278,18 +283,28 @@ def test_thresholds_match_transcriptions_on_a_whole_epoch(rounds, K, l_prev):
 )
 def test_run_plan_equals_per_epoch_thresholds(tau1, rate):
     """The loop's once-per-run schedule work gives each epoch the floors and
-    gamma that per-epoch calls give, bit for bit, through epoch 21."""
+    gamma that per-epoch calls give, bit for bit, through epoch 21: the
+    plan's rows in an epoch's rounds are its check times, and the floors of
+    those rows are ``thresholds``' floors."""
     s = EpochSchedule(tau1)
-    dp, K = 0.05 / 13, 5
-    plan = algorithms._check_plan(s, rate, dp, K, s.tau(21) - 1)
-    assert sorted(plan) == list(range(2, 22))
-    for m, (ts, rows, terms) in plan.items():
-        want_ts = [t for t in safety_check_times(m, s) if t < s.tau(21)]
-        assert ts.tolist() == want_ts and rows.tolist() == [t - s.tau(m - 1) - 1 for t in want_ts]
+    dp, K, T = 0.05 / 13, 5, s.tau(21) - 1
+    rounds, terms = algorithms._check_plan(s, rate, dp, K, T)
+    assert rounds.dtype == np.int64 and terms.dtype == float
+    assert terms.shape == (4, len(rounds)) and (np.diff(rounds) > 0).all()
+    covered = 0
+    for m in range(2, 22):
+        first, stop = np.searchsorted(rounds, (s.tau(m - 1), s.tau(m)), side="right")
+        ts = rounds[first:stop]
+        assert ts.tolist() == [t for t in safety_check_times(m, s) if t <= T]
         for l_prev in (0.0, 0.37):
-            got = algorithms._floors(ts, l_prev, tau1, terms)
+            got = algorithms._floors(ts, l_prev, tau1, terms[:, first:stop])
             for a, b in zip(got, thresholds(ts, m, l_prev, s, rate, dp, K)):
                 assert a.tobytes() == b.tobytes()
+        covered += len(ts)
+    assert covered == len(rounds)
+    # a run of one epoch has no checks
+    rounds, terms = algorithms._check_plan(s, rate, dp, K, tau1)
+    assert rounds.dtype == np.int64 and rounds.shape == (0,) and terms.shape == (4, 0)
     one_by_one = np.array([gamma_m(m, s, rate, dp, K) for m in range(1, 23)])
     assert gamma_m(np.arange(1, 23), s, rate, dp, K).tobytes() == one_by_one.tobytes()
 

@@ -58,6 +58,16 @@ class TestEpochSchedule:
             assert s.epoch_size(np.arange(1, 12)).tolist() == want[:11]
         assert [EpochSchedule(2).epoch_size(m) for m in range(1, 5)] == [2, 2, 4, 8]
 
+    def test_epoch_size_takes_integer_epochs_only(self):
+        # as tau and epoch_of: a numpy int is an int, a float is no epoch
+        s = EpochSchedule(2)
+        assert s.epoch_size(np.int64(3)) == 4 and type(s.epoch_size(np.int64(3))) is int
+        for m in (2.5, 3.9, 2.0, np.float64(3.0), np.array(2.5)):
+            with pytest.raises(TypeError):
+                s.epoch_size(m)
+        with pytest.raises(TypeError):
+            s.epoch_size(np.array([2.0, 3.0]))
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             EpochSchedule(1)

@@ -134,6 +134,10 @@ class TestTabularEnv:
             TabularEnv([[0.2, 0.4]], context_probs=[0.5])
         with pytest.raises(ValueError):
             TabularEnv(np.zeros(3))
+        # one probability per context: too few, too many or not one axis
+        for probs in ([1.0], [0.2, 0.3, 0.5], [[0.5, 0.5]]):
+            with pytest.raises(ValueError, match="shape"):
+                TabularEnv([[0.2, 0.8], [0.6, 0.4]], context_probs=probs)
         # NaN fails every range check, in the table and in the context probs
         for table, probs in (([[np.nan, 0.5], [0.2, 0.3]], None), ([[0.5, 0.5]], [np.nan]),
                              ([[0.5, 0.5], [0.2, 0.3]], [np.nan, np.nan])):

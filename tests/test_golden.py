@@ -1,0 +1,96 @@
+"""Golden outputs: sha256 fingerprints of known runs against ``golden.json``.
+
+The file holds the fingerprints of every file the four CI determinism
+configs write, and of one detecting library run, with the numpy and BLAS
+that made them. A deliberate change to a random stream or to an output's
+bits rewrites the file in the same commit, so its diff shows which outputs
+moved; ``PYTHONPATH=src python tests/test_golden.py`` rewrites it from the
+current tree.
+"""
+
+import hashlib
+import json
+import sys
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+
+from safebandit import (
+    AlgorithmConfig,
+    LinearPerArmOracle,
+    RunTrace,
+    realizable_linear_env,
+    run_safe_falcon,
+)
+from safebandit.cli import main
+from support import Edited
+
+GOLDEN = Path(__file__).with_name("golden.json")
+
+# the configs of CI's "Check run and compare outputs are byte-identical across
+# processes" step, each without its --out
+CONFIGS = {
+    "determinism": ["run", "--T", "10000", "--runs", "2", "--seed", "3", "--avg-epoch-test", "true"],
+    "realizable": ["run", "--env", "realizable-linear", "--env-k", "5", "--T", "10000", "--runs", "2",
+                   "--seed", "3", "--avg-epoch-test", "true"],
+    "compare-determinism": ["compare", "--a-algorithm", "safe-falcon", "--a-avg-epoch-test", "true",
+                            "--a-T", "40000", "--a-runs", "2", "--b-algorithm", "falcon-plus",
+                            "--b-T", "40000", "--b-runs", "2"],
+    "wide-arms": ["run", "--env", "lower-bound", "--env-k", "200", "--env-b", "0.001", "--T", "3000",
+                  "--runs", "2"],
+}
+
+
+def _sha256(*chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def _numpy_build() -> dict:
+    """numpy's version and BLAS, from its build config."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def fingerprints(out: Path) -> dict:
+    """Each output's name mapped to the sha256 of its bytes, the configs
+    writing under ``out``; the library run's detection round and final
+    m_hat are kept as they are."""
+    prints = {}
+    for name, argv in CONFIGS.items():
+        assert main([*argv, "--out", str(out / name)]) == 0
+        for path in sorted((out / name).iterdir()):
+            prints[f"{name}/{path.name}"] = _sha256(path.read_bytes())
+    # the shift case of test_algorithms.REFERENCE_CASES: detected in epoch 8,
+    # the rest of the run replayed on the fallback kernel
+    env = Edited(realizable_linear_env(5, 1, coefficient_seed=20210229),
+                 lambda t, x, m, r: (x, m - 5.0, r - 5.0) if t > 2048 else (x, m, r))
+    cfg = AlgorithmConfig(tau1=64, delta=0.05, horizon=4400, enable_avg_epoch_test=True)
+    trace = run_safe_falcon(env, LinearPerArmOracle(5, 1), cfg, seed=0)
+    columns = [getattr(trace, f.name) for f in fields(RunTrace)]
+    prints["shifted-realizable-k5/columns"] = _sha256(*(c.tobytes() for c in columns if isinstance(c, np.ndarray)))
+    prints["shifted-realizable-k5/detection_round"] = trace.detection_round
+    prints["shifted-realizable-k5/m_hat_final"] = trace.m_hat_final
+    return prints
+
+
+def test_outputs_match_golden_fingerprints(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    got = fingerprints(tmp_path)
+    moved = sorted(name for name in golden["outputs"].keys() | got.keys()
+                   if golden["outputs"].get(name) != got.get(name))
+    recorded = {key: golden[key] for key in ("numpy", "blas")}
+    assert not moved, (f"outputs moved: {', '.join(moved)}; "
+                       f"recorded with {recorded}, running {_numpy_build()}")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as out:
+        record = {**_numpy_build(), "outputs": fingerprints(Path(out))}
+    GOLDEN.write_text(json.dumps(record, indent=2) + "\n")
+    print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -366,6 +366,19 @@ class TestCli:
                      "--b-seed", "-1", "--out", out]) == 2
         assert not (tmp_path / "bad").exists()
 
+    def test_unreadable_config_file_exit_code(self, tmp_path, capsys):
+        # a missing file, a directory and bytes that are not text, on both
+        # subcommands and on each side of compare
+        undecodable = tmp_path / "latin1.cfg"
+        undecodable.write_bytes(b"T = 64\n# caf\xe9\n")
+        out = str(tmp_path / "out")
+        for path in (str(tmp_path / "missing.cfg"), str(tmp_path), str(undecodable)):
+            assert main(["run", "--config", path, "--out", out]) == 2
+            assert path in capsys.readouterr().err
+            for side in ("a", "b"):
+                assert main(["compare", f"--{side}-config", path, "--out", out]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_tau1_past_int64_exit_code(self, tmp_path, capsys):
         # epoch sizes are int64 arrays: 2^63 is a config error, not an
         # OverflowError, and the largest tau1 they hold still runs
