@@ -5,6 +5,7 @@ exploitation schedule, safe-policy bookkeeping, and the misspecification tests.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,9 @@ class AlgorithmConfig:
         EpochSchedule(self.tau1)  # raises for a tau1 it cannot hold
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        # an int, as EpochSchedule's tau1: a non-integer horizon raises
+        # TypeError here, not deep inside the run
+        object.__setattr__(self, "horizon", operator.index(self.horizon))
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
 

@@ -10,6 +10,19 @@ import numpy as np
 from numpy._core.umath import clip as _clip
 
 
+def _constant(value: float) -> np.ndarray:
+    """A read-only 0-d float64 array: as a ufunc operand it runs the same
+    float64 loop as the Python float, with the same bits, without the
+    float's conversion and promotion that numpy 2 repeats on each call."""
+    a = np.array(value, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+# the [0, 1] clamp's bounds, for _clip on the per-round path
+_ZERO, _ONE = _constant(0.0), _constant(1.0)
+
+
 class OutcomeModel:
     """Deterministic map from (context, arm) to a mean reward in [0, 1].
 
@@ -58,7 +71,9 @@ class LinearPerArmModel(OutcomeModel):
     +0.0). With no context dims the values are the clamped intercepts plus
     +0.0. The clamp calls numpy's ``clip`` ufunc directly, the one
     ``ndarray.clip`` ends in for float arrays, so its bits are those of
-    ``ndarray.clip`` without its Python-level wrapper.
+    ``ndarray.clip`` without its Python-level wrapper; its bounds are the
+    module's read-only 0-d float64 constants ``_ZERO`` and ``_ONE``, which
+    skip a Python float's per-call conversion.
     """
 
     def __init__(self, intercepts, slopes):
@@ -97,7 +112,7 @@ class LinearPerArmModel(OutcomeModel):
             # dim 0: no product to start from
             total = np.array(np.broadcast_to(intercept_column, self.intercepts.shape + X.shape[:-1]))
         # in place: _clip is np.clip's ufunc, so the bits equal np.clip(total, 0, 1)
-        return _clip(total, 0.0, 1.0, out=total).T
+        return _clip(total, _ZERO, _ONE, out=total).T
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ import math
 
 import numpy as np
 
-from .core import LinearPerArmModel, _clip
+from .core import _ONE, _ZERO, LinearPerArmModel, _clip, _constant
+
+# Uniform(-0.1, 0.1) noise as -0.1 + 0.2 * random(): 0.2 is 0.1 - (-0.1) exactly
+_NOISE_LOW, _NOISE_WIDTH = _constant(-0.1), _constant(0.2)
 
 
 class BanditEnvironment:
@@ -144,6 +147,11 @@ class LowerBoundEnv(_OneBody):
 class RealizableLinearEnv(_OneBody):
     """Control condition: per-arm affine true means, so the linear oracle's
     class contains f*. Rewards are mean + Uniform(-0.1, 0.1), clipped to [0,1].
+
+    The noise is drawn as ``rng.random``, multiplied in place by 0.2 and then
+    added to -0.1, both as 0-d float64 constants. ``Generator.uniform(-0.1,
+    0.1)`` computes ``low + (high - low) * next_double`` on the same doubles,
+    so the bits equal its draw, without its argument handling.
     """
 
     def __init__(self, intercepts, slopes):
@@ -161,10 +169,12 @@ class RealizableLinearEnv(_OneBody):
         # the true model itself, one call frame less per round than through
         # means_batch; a subclass with other means overrides _draw as well
         means = self._truth.values_batch(X)
-        rewards = rng.uniform(-0.1, 0.1, lead + (self.K,))
+        rewards = rng.random(lead + (self.K,))
+        rewards *= _NOISE_WIDTH
+        rewards += _NOISE_LOW
         rewards += means
         # the ufunc ndarray.clip ends in, without its Python-level wrapper
-        return X, means, _clip(rewards, 0.0, 1.0, out=rewards)
+        return X, means, _clip(rewards, _ZERO, _ONE, out=rewards)
 
 
 def realizable_linear_env(K: int, dim: int, coefficient_seed: int) -> RealizableLinearEnv:

@@ -192,7 +192,11 @@ def _write_trace_block(fh, prefix: str, lo: int, block):
 
     Columns with few distinct values are formatted once per value."""
     n, dim = block.contexts.shape
-    width = 2 * dim + 8  # pieces per row; ctx_d sits at 3 + 2d
+    # ctx_d sits at 3 + 2d, so the action piece follows the last context
+    # piece, or the epoch piece when there is none: the row then reads
+    # epoch,,action, an empty context field
+    k = max(2 * dim + 2, 3)
+    width = k + 6  # pieces per row
     # every slot not assigned below is a ';' between context dims
     parts = [";"] * (n * width)
     parts[0::width] = [prefix] * n
@@ -200,7 +204,6 @@ def _write_trace_block(fh, prefix: str, lo: int, block):
     parts[2::width] = _format_repeated(block.epoch, ",{},".format)
     for d in range(dim):
         parts[3 + 2 * d :: width] = map(repr, block.contexts[:, d].tolist())
-    k = 2 * dim + 2
     parts[k::width] = _format_repeated(block.actions, ",{},".format)
     parts[k + 1 :: width] = map(repr, block.rewards.tolist())
     parts[k + 2 :: width] = _format_repeated(block.optimal_arms, ",{},".format)

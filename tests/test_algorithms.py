@@ -398,6 +398,17 @@ class CollapseEnv(BanditEnvironment):
         return x, means, rewards
 
 
+class TestAlgorithmConfig:
+    def test_horizon_must_be_an_integer(self):
+        # as EpochSchedule's tau1: a numpy int is stored as an int, a float
+        # is refused at construction rather than deep inside the run
+        cfg = AlgorithmConfig(2, 0.05, np.int64(1000))
+        assert cfg.horizon == 1000 and type(cfg.horizon) is int
+        for horizon in (1e3, 1000.0, np.float64(1000.0)):
+            with pytest.raises(TypeError):
+                AlgorithmConfig(2, 0.05, horizon)
+
+
 class TestEpochLoopIntegration:
     def test_cumulative_test_flips_on_collapse(self):
         env = CollapseEnv(collapse_at=128, crash=-50.0)

@@ -12,7 +12,7 @@ from safebandit import (
     RunTrace,
     zero_model,
 )
-from safebandit.core import _clip
+from safebandit.core import _ONE, _ZERO, _clip
 from support import same_bits
 
 
@@ -137,6 +137,16 @@ class TestModels:
             got = a.copy()
             assert _clip(got, 0.0, 1.0, out=got) is got
             assert same_bits(got, want)
+
+    def test_clamp_bounds_are_read_only_float64(self):
+        # 0-d float64 operands run the float64 loop of 0.0 and 1.0 (+0.0,
+        # not -0.0), and no caller can change them for every other one
+        for bound, value in ((_ZERO, 0.0), (_ONE, 1.0)):
+            assert bound.dtype == np.float64 and bound.shape == ()
+            assert bound.tobytes() == np.float64(value).tobytes()
+            assert not bound.flags.writeable
+            with pytest.raises(ValueError):
+                bound[()] = 0.5
 
 
 class TestRunTrace:

@@ -13,6 +13,7 @@ from safebandit import (
     IntroExampleEnv,
     LinearPerArmOracle,
     LowerBoundEnv,
+    RealizableLinearEnv,
     realizable_linear_env,
     run_falcon_plus,
     run_safe_falcon,
@@ -237,11 +238,14 @@ class TestTraceWriter:
             run_safe_falcon(wider, LinearPerArmOracle(4, 3), cfg, seed=7),
             odd,
             multi_block_trace(),
+            # no context dims: the context field is empty
+            run_safe_falcon(RealizableLinearEnv([0.3, 0.6], np.zeros((2, 0))),
+                            LinearPerArmOracle(2, 0), AlgorithmConfig(2, 0.05, 8), seed=0),
         ]
         assert drop.detection_round is not None and 300 < drop.detection_round < 1000
         assert not drop.safe.all()
         assert (drop.rewards < 0).any() and traces[1].contexts.shape[1] == 2
-        assert traces[3].contexts.shape[1] == 3
+        assert traces[3].contexts.shape[1] == 3 and traces[6].contexts.shape[1] == 0
         write_trace_csv(str(tmp_path / "bulk.csv"), traces)
         reference_write_trace_csv(str(tmp_path / "reference.csv"), traces)
         written = (tmp_path / "bulk.csv").read_bytes()
