@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EpochSchedule, RunTrace, zero_model
+from .core import EpochSchedule, RunTrace, _gather, zero_model
 from .environments import BanditEnvironment
 from .oracle import Dataset, EstimationRate, RegressionOracle
 
@@ -94,27 +94,18 @@ def action_probs(values: np.ndarray, gamma: float) -> np.ndarray:
     return p.T.reshape(values.shape)
 
 
-def _draw_arms(p: np.ndarray, u: np.ndarray, out=None) -> np.ndarray:
+def _draw_arms(p: np.ndarray, u: np.ndarray, arms: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw of one arm per row of ``p``: the first arm whose
     cumulative probability reaches the row's uniform, or the last arm when
     rounding leaves the cumulative sum short of it. The K - 1 comparisons
-    run on a running column sum. The arms go to ``out`` when given, an
-    integer array shaped like a row of uniforms, else to a new intp array."""
-    arms = np.empty(p.shape[:-1], dtype=np.intp) if out is None else out
+    run on a running column sum. The arms go to ``arms``, an integer array
+    shaped like a row of uniforms, which is returned."""
     arms[...] = 0
     cum = np.zeros(p.shape[:-1])
     for k in range(p.shape[-1] - 1):
         cum += p[..., k]
         arms += cum < u
     return arms
-
-
-def _gather(R: np.ndarray, A: np.ndarray, out: np.ndarray):
-    """out[i] = R[i, A[i]] for a C-contiguous (n, K) array R, through flat
-    indices."""
-    at = np.arange(0, R.size, R.shape[1])
-    at += A
-    np.take(R.reshape(-1), at, out=out)
 
 
 def _xi_epoch(m, previous_size, rate: EstimationRate, delta_prime: float):
@@ -166,12 +157,12 @@ def choose_safe(m: int, rewards, l_prev: float, m_hat: int, delta_prime: float):
 
 
 def safety_check_times(m: int, schedule: EpochSchedule) -> list[int]:
-    """Rounds in epoch m where the misspecification tests run: power-of-two
-    offsets into the epoch, plus the epoch's final round."""
+    """Rounds in epoch m where the misspecification tests run, in increasing
+    order: offsets 1, 2, 4, ... below the epoch's size, then its end."""
     if m < 2:
         raise ValueError("checks only run from epoch 2 onward")
     start, size = schedule.tau(m - 1), schedule.epoch_size(m)
-    return sorted({start + (1 << k) for k in range(size.bit_length())} | {start + size})
+    return [start + (1 << k) for k in range((size - 1).bit_length())] + [start + size]
 
 
 def _floor_terms(
@@ -305,10 +296,10 @@ def _run_epoch_loop(
     oracle: RegressionOracle,
     config: AlgorithmConfig,
     seed: int,
-    gamma_scale: float,
-    run_checks: bool,
+    checks: bool,
 ) -> RunTrace:
-    """Play one run an epoch at a time.
+    """Play one run an epoch at a time: Safe-FALCON with ``checks``, else
+    FALCON+ (no tests, gamma times ``FALCON_PLUS_GAMMA_SCALE``).
 
     The model and gamma are fixed within an epoch, and no draw depends on
     the policy: the environment draws from ``Philox(seed)`` and the action
@@ -335,8 +326,9 @@ def _run_epoch_loop(
     # the schedule-only work, paid once per run: every epoch's gamma and the
     # check rounds with their floors' data-free terms
     last = schedule.epoch_of(T)
+    gamma_scale = 1.0 if checks else FALCON_PLUS_GAMMA_SCALE
     gammas = gamma_scale * gamma_m(np.arange(1, last + 1), schedule, rate, dp, K)
-    rounds, terms = _check_plan(schedule, rate, dp, K, T) if run_checks else (None, None)
+    rounds, terms = _check_plan(schedule, rate, dp, K, T) if checks else (None, None)
 
     # the model played in each epoch, epoch m's at m - 1; epoch 1's zero
     # model has every gap 0, so its kernel is uniform for any finite gamma
@@ -365,12 +357,12 @@ def _run_epoch_loop(
         # the uniforms after the kernel keeps them out of its working set
         P = action_probs(model.values_batch(X), gamma)
         U = act_rng.random(hi - lo)
-        _draw_arms(P, U, out=A)
+        _draw_arms(P, U, A)
         del P
         _gather(R, A, r)
         trace.safe[lo:hi] = safe
 
-        if safe and run_checks:
+        if safe and checks:
             # seeded with the carried total, so every entry equals the
             # round-by-round sum
             running = np.cumsum(np.concatenate(([crwd], r)))[1:]
@@ -380,10 +372,11 @@ def _run_epoch_loop(
             if first < stop:
                 ts = rounds[first:stop]
                 floor, avg_floor = _floors(ts, l_prev, schedule.tau1, terms[:, first:stop])
+                at = ts - lo - 1
                 # negated, so that a NaN statistic fails as well
-                failed = ~(running[ts - lo - 1] >= floor)
+                failed = ~(running[at] >= floor)
                 if config.enable_avg_epoch_test:
-                    failed |= ~(np.cumsum(r)[ts - lo - 1] / (ts - lo) >= avg_floor)
+                    failed |= ~(np.cumsum(r)[at] / (at + 1) >= avg_floor)
                 if failed.any():
                     t = int(ts[failed.argmax()])
                     detection_round = t
@@ -393,7 +386,7 @@ def _run_epoch_loop(
                     model, gamma = models[max(m_hat, 1) - 1], gammas[max(m_hat, 1) - 1]
                     rest = slice(t - lo, None)
                     P = action_probs(model.values_batch(X[rest]), gamma)
-                    _draw_arms(P, U[rest], out=A[rest])
+                    _draw_arms(P, U[rest], A[rest])
                     del P
                     _gather(R[rest], A[rest], r[rest])
             del running
@@ -419,7 +412,7 @@ def run_safe_falcon(
     seed: int,
 ) -> RunTrace:
     """Full Safe-FALCON: epoch loop, misspecification tests, safe fallback."""
-    return _run_epoch_loop(env, oracle, config, seed, gamma_scale=1.0, run_checks=True)
+    return _run_epoch_loop(env, oracle, config, seed, checks=True)
 
 
 def run_falcon_plus(
@@ -430,6 +423,4 @@ def run_falcon_plus(
 ) -> RunTrace:
     """FALCON+ baseline: same epoch loop, no safety tests, gamma scaled up by
     sqrt(2)."""
-    return _run_epoch_loop(
-        env, oracle, config, seed, gamma_scale=FALCON_PLUS_GAMMA_SCALE, run_checks=False
-    )
+    return _run_epoch_loop(env, oracle, config, seed, checks=False)

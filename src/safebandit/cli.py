@@ -91,13 +91,13 @@ def _cmd_validate_rate(args) -> int:
     else:
         rate = CommonRate(args.C, args.rho, args.rho_prime, args.comp, args.n0)
     try:
-        report = validate_rate(rate, args.delta, args.n_max)
+        failures = validate_rate(rate, args.delta, args.n_max)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    if report.ok:
+    if not failures:
         print(f"rate valid for delta={args.delta}, n_max={args.n_max}")
         return 0
-    for failure in report.failures:
+    for failure in failures:
         print(f"FAIL: {failure}")
     return 3
 

@@ -166,6 +166,14 @@ class EpochSchedule:
         return self.tau1 << shift
 
 
+def _gather(R: np.ndarray, A: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i] = R[i, A[i]] for a C-contiguous (n, K) array R, through flat
+    indices; returns ``out``."""
+    at = np.arange(0, R.size, R.shape[1])
+    at += A
+    return np.take(R.reshape(-1), at, out=out)
+
+
 def _narrowest_int(top: int):
     """The narrowest signed integer dtype that holds 0 .. top."""
     return next(t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
@@ -237,5 +245,6 @@ class RunTrace:
 
     @property
     def realized_regret(self) -> np.ndarray:
-        best = np.take_along_axis(self.reward_vectors, self.optimal_arms[:, None], axis=1)
-        return best[:, 0] - self.rewards
+        regret = _gather(self.reward_vectors, self.optimal_arms, np.empty(len(self)))
+        regret -= self.rewards
+        return regret

@@ -15,16 +15,12 @@ _NOISE_LOW, _NOISE_WIDTH = _constant(-0.1), _constant(0.2)
 class BanditEnvironment:
     """Stationary environment: a context distribution, true means, rewards.
 
-    ``means_batch(X)`` maps (n, dim) contexts to the (n, K) true means; it
-    may return them as the transposed view of an arm-major (K, n) array.
     ``sample_batch(rng, n)`` draws n rounds at once as arrays: contexts
     (n, dim), means (n, K) and realized rewards (n, K). The algorithm may
     only look at the chosen arm's reward, but traces record the full vector
     so realized counterfactual regret is well defined. ``sample(rng)`` draws
     one round as (context, mean vector, reward vector).
 
-    The built-in environments draw a round and a batch from one body, and
-    their ``means_batch`` also maps one (dim,) context to its (K,) means.
     A user environment takes one of two forms. It overrides ``sample_batch``,
     the only sampler the engine calls; or, when a round depends on the rounds
     before it, it overrides ``sample``, and the default ``sample_batch``
@@ -33,9 +29,6 @@ class BanditEnvironment:
 
     K: int
     dim: int
-
-    def means_batch(self, X) -> np.ndarray:
-        raise NotImplementedError
 
     def sample(self, rng: np.random.Generator):
         raise NotImplementedError("override sample or sample_batch")
@@ -74,7 +67,12 @@ class _OneBody(BanditEnvironment):
     """A built-in environment. Its ``_draw(rng, lead)`` draws one round for
     lead ``()`` and n rounds for lead ``(n,)``, each array shaped ``lead``
     plus its own axis. A 1-d draw takes the same numbers from the generator
-    as a (1, .) draw, so a round has the bits of row 0 of a batch of one."""
+    as a (1, .) draw, so a round has the bits of row 0 of a batch of one.
+
+    Each built-in also has ``means_batch(X)``, which maps (n, dim) contexts
+    to the (n, K) true means, and one (dim,) context to its (K,) means; it
+    may return a batch's means as the transposed view of an arm-major
+    (K, n) array."""
 
     def sample(self, rng):
         return self._draw(rng, ())

@@ -67,7 +67,8 @@ class ExperimentConfig:
     avg_epoch_test: bool = False
     out: str = "out"
 
-    def validate(self):
+    def validate(self) -> AlgorithmConfig:
+        """Raise ConfigError unless the config can run; return its AlgorithmConfig."""
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.env not in ENVIRONMENTS:
@@ -79,7 +80,7 @@ class ExperimentConfig:
         if self.runs * self.horizon > ROUND_BUDGET:
             raise ConfigError("runs * T exceeds the round budget")
         try:
-            AlgorithmConfig(self.tau1, self.delta, self.horizon, self.avg_epoch_test)
+            return AlgorithmConfig(self.tau1, self.delta, self.horizon, self.avg_epoch_test)
         except ValueError as e:
             raise ConfigError(str(e)) from e
 
@@ -151,12 +152,19 @@ def build_environment(cfg: ExperimentConfig):
         raise ConfigError(str(e)) from e
 
 
+def _make_out_dir(path: str):
+    """Create the output directory; a path that cannot be one is a config error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {path}: {e}") from e
+
+
 def run_replications(cfg: ExperimentConfig):
     """Run the configured replications; per-run seed is base seed + run id."""
-    cfg.validate()
+    algo_cfg = cfg.validate()
     env = build_environment(cfg)
     oracle = LinearPerArmOracle(env.K, env.dim)
-    algo_cfg = AlgorithmConfig(cfg.tau1, cfg.delta, cfg.horizon, cfg.avg_epoch_test)
     runner = run_safe_falcon if cfg.algorithm == "safe-falcon" else run_falcon_plus
     traces = []
     for i in range(cfg.runs):
@@ -306,10 +314,10 @@ def render_regret_svg(aggregate, title="per-epoch mean regret") -> str:
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run replications and write trace.csv, epochs.csv, regret.svg."""
+    _make_out_dir(cfg.out)
     traces = run_replications(cfg)
     per_run = [epoch_summaries(t) for t in traces]
     aggregate = aggregate_runs(per_run)
-    os.makedirs(cfg.out, exist_ok=True)
     paths = {
         "trace": os.path.join(cfg.out, "trace.csv"),
         "epochs": os.path.join(cfg.out, "epochs.csv"),
@@ -354,7 +362,7 @@ def compare_experiments(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> dic
     if cfg_a.algorithm == cfg_b.algorithm:
         raise ConfigError("compared configs must use different algorithms")
     out = cfg_a.out
-    os.makedirs(out, exist_ok=True)
+    _make_out_dir(out)
     result = {"epochs": os.path.join(out, "compare_epochs.csv"),
               "flips": os.path.join(out, "compare_flips.csv")}
     epoch_rows = []

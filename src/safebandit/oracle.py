@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,20 +56,12 @@ class CommonRate(EstimationRate):
         return np.where(n >= self.n0, body, 1.0)
 
 
-@dataclass
-class RateValidationReport:
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 _ZETA_GRID = (0.001, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9)
 
 
-def validate_rate(rate: EstimationRate, delta: float, n_max: int) -> RateValidationReport:
-    """Check the two validity conditions on a rate over a finite grid.
+def validate_rate(rate: EstimationRate, delta: float, n_max: int) -> list[str]:
+    """Check the two validity conditions on a rate over a finite grid, and
+    return one message per failure found: an empty list for a valid rate.
 
     Condition 1: n -> xi(n, delta/ln(n)) is non-increasing. Checked on every
     integer n in [3, n_max]; the chi-squared closed form is only monotone from
@@ -124,7 +116,7 @@ def validate_rate(rate: EstimationRate, delta: float, n_max: int) -> RateValidat
                 else:
                     failures.append("xi not finite " + where + "%g" % vals[i])
                 break
-    return RateValidationReport(failures)
+    return failures
 
 
 @dataclass(frozen=True)

@@ -210,13 +210,13 @@ def test_criterion_6_figure2_qualitative(falcon_plus_batch, safe_falcon_batch):
 def test_criterion_7_rate_validity():
     ok = True
     for delta in (0.3, 0.05, 0.01):
-        ok = ok and validate_rate(LinearChiSquaredRate(), delta, 10**6).ok
+        ok = ok and validate_rate(LinearChiSquaredRate(), delta, 10**6) == []
 
     class HalfFloor(LinearChiSquaredRate):
         def xi(self, n, zeta):
             return super().xi(n, zeta) / 4.0  # half of the ln(1/zeta)/n floor
 
-    ok = ok and not validate_rate(HalfFloor(), 0.05, 10**6).ok
+    ok = ok and validate_rate(HalfFloor(), 0.05, 10**6) != []
     assert report(7, ok, "chi^2_2 rate valid for delta in {0.3, 0.05, 0.01}; half-floor rejected")
 
 

@@ -441,7 +441,7 @@ class TestEpochLoopIntegration:
         env = realizable_linear_env(2, dim=1, coefficient_seed=5)
         cfg = AlgorithmConfig(tau1=8, delta=0.05, horizon=1024)
         a = run_safe_falcon(env, LinearPerArmOracle(2, 1), cfg, seed=3)
-        b = algorithms._run_epoch_loop(env, LinearPerArmOracle(2, 1), cfg, 3, 1.0, run_checks=False)
+        b = reference_run(env, LinearPerArmOracle(2, 1), cfg, 3, 1.0, run_checks=False)
         assert a.detection_round is None
         np.testing.assert_array_equal(a.actions, b.actions)
         np.testing.assert_array_equal(a.rewards, b.rewards)
@@ -452,9 +452,7 @@ class TestEpochLoopIntegration:
         env = realizable_linear_env(2, dim=1, coefficient_seed=5)
         cfg = AlgorithmConfig(tau1=8, delta=0.05, horizon=2048)
         scaled = run_falcon_plus(env, LinearPerArmOracle(2, 1), cfg, seed=3)
-        unscaled = algorithms._run_epoch_loop(
-            env, LinearPerArmOracle(2, 1), cfg, 3, 1.0, run_checks=False
-        )
+        unscaled = reference_run(env, LinearPerArmOracle(2, 1), cfg, 3, 1.0, run_checks=False)
         assert FALCON_PLUS_GAMMA_SCALE == pytest.approx(math.sqrt(2.0))
         assert not np.array_equal(scaled.actions, unscaled.actions)
 

@@ -239,8 +239,6 @@ def test_environment_without_sampler_raises():
     for draw in draws:
         with pytest.raises(NotImplementedError, match="override sample or sample_batch"):
             draw(Bare())
-    with pytest.raises(NotImplementedError):
-        Bare().means_batch(np.zeros((1, 1)))
     # overriding sample_batch alone is enough to play; there is no one-round sampler
     sample, _, play = draws
     assert len(play(BatchOnly())) == 8

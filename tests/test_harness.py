@@ -402,6 +402,22 @@ class TestCli:
         assert main(["run", "--runs", "400000", "--T", "1024", "--out", out]) == 2
         assert not (tmp_path / "budget").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--T", "64"],
+        ["compare", "--a-algorithm", "safe-falcon", "--a-T", "64",
+         "--b-algorithm", "falcon-plus", "--b-T", "64"],
+    ], ids=lambda argv: argv[0])
+    def test_unusable_out_exit_code(self, command, tmp_path, monkeypatch, capsys):
+        # an --out under a regular file is a config error before any round
+        def fail(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(harness, "run_safe_falcon", fail)
+        monkeypatch.setattr(harness, "run_falcon_plus", fail)
+        (tmp_path / "afile").write_text("")
+        assert main([*command, "--out", str(tmp_path / "afile" / "sub")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_config_error_leaves_the_next_call_unchanged(self, tmp_path):
         # the parser is built once per process and shared by every call
         assert cli.build_parser() is cli.build_parser()

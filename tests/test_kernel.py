@@ -32,7 +32,8 @@ replaced, each of which must still agree with its replacement bit for bit:
   the noise into a new array; the environment now fills them arm by arm and
   adds them into the noise in place.
 - ``fancy_index_realized_regret`` gathers the optimal arm's reward with a
-  two-array fancy index; the trace now uses ``np.take_along_axis``.
+  two-array fancy index; the trace now uses the engine's flat-index gather,
+  ``core._gather``.
 """
 
 import numpy as np
@@ -156,7 +157,7 @@ def test_action_probs_and_draw_equal_reference(K, seed, n, grid, gamma):
     assert same_bits(p, reference_action_probs(V, gamma))
     assert same_bits(action_probs(V[0], gamma), reference_action_probs(V[0], gamma))
     u = _uniforms(rng, p)
-    assert same_bits(_draw_arms(p, u), reference_draw_arms(p, u))
+    assert same_bits(_draw_arms(p, u, np.empty(n, dtype=np.intp)), reference_draw_arms(p, u))
 
 
 @settings(max_examples=60, deadline=None)
@@ -298,10 +299,11 @@ def test_wide_kernel_row_equals_batch_row(K, seed, n, grid, gamma):
     V = _values(rng, n, K, grid)
     p = action_probs(V, gamma)
     u = _uniforms(rng, p)
-    arms = _draw_arms(p, u)
+    arms = _draw_arms(p, u, np.empty(n, dtype=np.intp))
     for i in {0, n // 2, n - 1}:
         assert same_bits(action_probs(V[i], gamma), p[i])
-        assert same_bits(_draw_arms(p[i : i + 1], u[i : i + 1]), arms[i : i + 1])
+        row = _draw_arms(p[i : i + 1], u[i : i + 1], np.empty(1, dtype=np.intp))
+        assert same_bits(row, arms[i : i + 1])
     # pairwise and in-order sums differ only in the last bits
     np.testing.assert_allclose(p, reference_action_probs(V, gamma), rtol=1e-12, atol=1e-15)
 

@@ -49,22 +49,22 @@ class TestCommonRate:
 class TestValidateRate:
     def test_linear_rate_passes(self):
         for delta in (0.3, 0.05, 0.01):
-            report = validate_rate(LinearChiSquaredRate(), delta, 10_000)
-            assert report.ok, report.failures
+            failures = validate_rate(LinearChiSquaredRate(), delta, 10_000)
+            assert failures == []
 
     def test_common_rate_passes(self):
         rate = CommonRate(C=4.0, rho=1.0, rho_prime=0.0, comp=1.0, n0=2)
-        report = validate_rate(rate, 0.05, 10_000)
-        assert report.ok, report.failures
+        failures = validate_rate(rate, 0.05, 10_000)
+        assert failures == []
 
     def test_half_floor_rate_fails(self):
         class HalfFloor(LinearChiSquaredRate):
             def xi(self, n, zeta):
                 return super().xi(n, zeta) / 4.0  # half of ln(1/zeta)/n
 
-        report = validate_rate(HalfFloor(), 0.05, 1000)
-        assert not report.ok
-        assert any("floor" in f for f in report.failures)
+        failures = validate_rate(HalfFloor(), 0.05, 1000)
+        assert failures
+        assert any("floor" in f for f in failures)
 
     def test_non_monotone_rate_fails(self):
         class Bumpy(LinearChiSquaredRate):
@@ -72,15 +72,14 @@ class TestValidateRate:
                 n = np.asarray(n, dtype=float)
                 return super().xi(n, zeta) * (1.0 + 0.5 * (np.floor(n) % 7 == 0))
 
-        report = validate_rate(Bumpy(), 0.05, 1000)
-        assert not report.ok
-        assert any("monotonicity" in f for f in report.failures)
+        failures = validate_rate(Bumpy(), 0.05, 1000)
+        assert failures
+        assert any("monotonicity" in f for f in failures)
 
     def test_nan_everywhere_fails(self):
         rate = CommonRate(C=float("nan"), rho=1.0, rho_prime=0.0, comp=1.0)
-        report = validate_rate(rate, 0.05, 100)
-        assert not report.ok
-        assert report.failures == [
+        failures = validate_rate(rate, 0.05, 100)
+        assert failures == [
             "xi not finite at n=3, zeta=delta/ln(n): xi=nan",
             "xi not finite at n=2, zeta=0.001: xi=nan",
             "xi not finite at n=2, zeta=delta/ln(n): xi=nan",
@@ -94,15 +93,15 @@ class TestValidateRate:
                 return np.where(np.asarray(n) == 500, np.nan, vals)
 
         rate = NanAt500(C=4.0, rho=1.0, rho_prime=0.0, comp=1.0)
-        report = validate_rate(rate, 0.05, 1000)
-        assert report.failures == ["xi not finite at n=500, zeta=delta/ln(n): xi=nan"]
-        assert validate_rate(NanAt500(4.0, 1.0, 0.0, 1.0), 0.05, 499).ok
+        failures = validate_rate(rate, 0.05, 1000)
+        assert failures == ["xi not finite at n=500, zeta=delta/ln(n): xi=nan"]
+        assert validate_rate(NanAt500(4.0, 1.0, 0.0, 1.0), 0.05, 499) == []
 
     def test_inf_fails(self):
         rate = CommonRate(C=float("inf"), rho=1.0, rho_prime=0.0, comp=1.0)
-        report = validate_rate(rate, 0.05, 100)
-        assert not report.ok
-        assert all("xi not finite" in f and "xi=inf" in f for f in report.failures)
+        failures = validate_rate(rate, 0.05, 100)
+        assert failures
+        assert all("xi not finite" in f and "xi=inf" in f for f in failures)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
