@@ -123,13 +123,24 @@ def gamma_m(
 ):
     """Exploitation parameter of epoch m (an int, or an int array of epochs):
     1 in epoch 1, then sqrt(K / (8 xi)) with xi evaluated at the previous
-    epoch's size. A float for an int m. Raises ValueError for m < 1 and for
-    a rate whose xi is not positive, TypeError for any other non-integer m."""
+    epoch's size. A float for an int m. Raises ValueError for m < 1, for an
+    m whose previous epoch has 2^63 rounds or more (the int64 limit of
+    ``EpochSchedule.epoch_size``'s array form, which an int m goes through
+    too) and for a rate whose xi is not positive; TypeError for a bool or
+    any other non-integer m."""
+    if np.ndim(m) == 0 and not isinstance(m, bool):
+        # clamped to [0, int64 max], an int fits np.asarray and fails the
+        # checks below as before; a bool is left to the dtype check, since
+        # operator.index takes it as 0 or 1
+        m = min(max(operator.index(m), 0), np.iinfo(np.int64).max)
     m = np.asarray(m)
+    if m.dtype == bool:
+        raise TypeError("epoch index must be an integer, not a bool")
     if (m < 1).any():
         raise ValueError("epoch index must be >= 1")
     from_2 = np.maximum(m, 2)
-    xi = _xi_epoch(from_2, schedule.epoch_size(from_2 - 1), rate, delta_prime)
+    sizes = schedule.epoch_size(np.atleast_1d(from_2 - 1)).reshape(m.shape)
+    xi = _xi_epoch(from_2, sizes, rate, delta_prime)
     # epoch 1's gamma is 1 whatever the rate
     xi = np.where(m == 1, 1.0, xi)
     if not (xi > 0).all():

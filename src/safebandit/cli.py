@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from .analysis import lower_bound_instance_regret, lower_bound_sqrt_b_bruteforce
-from .environments import LowerBoundEnv
 from .harness import (
     CONFIG_KEYS,
     ConfigError,
@@ -37,13 +36,13 @@ def _add_config_flags(parser, prefix=""):
 
 
 def _build_config(args, prefix="") -> ExperimentConfig:
+    """Parse only: the harness judges the config before it creates anything."""
     path = getattr(args, f"{prefix}config")
     cfg = load_config_file(path) if path else ExperimentConfig()
     for key in CONFIG_KEYS:
         value = getattr(args, prefix + key, None)
         if value is not None:
             cfg = apply_key(cfg, key, value)
-    cfg.validate()
     return cfg
 
 
@@ -64,10 +63,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_lowerbound_check(args) -> int:
     K, B = args.K, args.B
-    try:
-        env = LowerBoundEnv(K, B)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    # judged as a run's lower-bound environment is
+    _, env = ExperimentConfig(env="lower-bound", env_k=K, env_b=B).validate()
     analytic = math.sqrt(env.per_arm_variance)
     brute = lower_bound_sqrt_b_bruteforce(K, B)
     print(f"sqrt(B) analytic:    {analytic:.12f}")

@@ -11,7 +11,7 @@ import numpy as np
 
 from .algorithms import AlgorithmConfig, run_falcon_plus, run_safe_falcon
 from .analysis import aggregate_runs, epoch_summaries
-from .environments import IntroExampleEnv, LowerBoundEnv, realizable_linear_env
+from .environments import BanditEnvironment, IntroExampleEnv, LowerBoundEnv, realizable_linear_env
 from .oracle import LinearPerArmOracle
 
 ALGORITHMS = ("safe-falcon", "falcon-plus")
@@ -67,8 +67,9 @@ class ExperimentConfig:
     avg_epoch_test: bool = False
     out: str = "out"
 
-    def validate(self) -> AlgorithmConfig:
-        """Raise ConfigError unless the config can run; return its AlgorithmConfig."""
+    def validate(self) -> tuple[AlgorithmConfig, BanditEnvironment]:
+        """The one judgement of a config: raise ConfigError unless it can run,
+        else return its AlgorithmConfig and a freshly built environment."""
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.env not in ENVIRONMENTS:
@@ -80,7 +81,8 @@ class ExperimentConfig:
         if self.runs * self.horizon > ROUND_BUDGET:
             raise ConfigError("runs * T exceeds the round budget")
         try:
-            return AlgorithmConfig(self.tau1, self.delta, self.horizon, self.avg_epoch_test)
+            algo_cfg = AlgorithmConfig(self.tau1, self.delta, self.horizon, self.avg_epoch_test)
+            return algo_cfg, build_environment(self)
         except ValueError as e:
             raise ConfigError(str(e)) from e
 
@@ -146,10 +148,7 @@ def apply_key(cfg: ExperimentConfig, key: str, value: str) -> ExperimentConfig:
 
 
 def build_environment(cfg: ExperimentConfig):
-    try:
-        return ENVIRONMENTS[cfg.env](cfg)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return ENVIRONMENTS[cfg.env](cfg)
 
 
 def _make_out_dir(path: str):
@@ -162,14 +161,10 @@ def _make_out_dir(path: str):
 
 def run_replications(cfg: ExperimentConfig):
     """Run the configured replications; per-run seed is base seed + run id."""
-    algo_cfg = cfg.validate()
-    env = build_environment(cfg)
+    algo_cfg, env = cfg.validate()
     oracle = LinearPerArmOracle(env.K, env.dim)
     runner = run_safe_falcon if cfg.algorithm == "safe-falcon" else run_falcon_plus
-    traces = []
-    for i in range(cfg.runs):
-        traces.append(runner(env, oracle, algo_cfg, cfg.seed + i))
-    return traces
+    return [runner(env, oracle, algo_cfg, cfg.seed + i) for i in range(cfg.runs)]
 
 
 # trace.csv rows formatted and written per block: the writer's memory is set
@@ -314,6 +309,8 @@ def render_regret_svg(aggregate, title="per-epoch mean regret") -> str:
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run replications and write trace.csv, epochs.csv, regret.svg."""
+    # judged before out is made; run_replications judges it again
+    cfg.validate()
     _make_out_dir(cfg.out)
     traces = run_replications(cfg)
     per_run = [epoch_summaries(t) for t in traces]
@@ -354,7 +351,10 @@ def _compare_side(cfg: ExperimentConfig):
 
 def compare_experiments(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> dict:
     """Run two configs on matched environments/horizons and write a merged
-    per-epoch summary plus per-run safety-flip epochs."""
+    per-epoch summary plus per-run safety-flip epochs. Both sides are judged,
+    and their pairing checked, before out is made or any round is played."""
+    cfg_a.validate()
+    cfg_b.validate()
     if cfg_a.horizon != cfg_b.horizon:
         raise ConfigError("compared configs must share the horizon T")
     if (cfg_a.env, cfg_a.env_k, cfg_a.env_b) != (cfg_b.env, cfg_b.env_k, cfg_b.env_b):

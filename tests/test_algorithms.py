@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from safebandit import (
@@ -96,9 +96,19 @@ class TestGammaM:
         with pytest.raises(ValueError):
             gamma_m(0, EpochSchedule(2), RATE, 0.01, 2)
 
-    @pytest.mark.parametrize("m", [2.5, 2.0, 1.0, np.array([1.0, 2.0])])
+    @pytest.mark.parametrize(
+        "m", [2.5, 2.0, 1.0, np.array([1.0, 2.0]), True, False, np.array([True, False])]
+    )
     def test_non_integer_epoch_raises(self, m):
         with pytest.raises(TypeError):
+            gamma_m(m, EpochSchedule(2), LinearChiSquaredRate(), 0.01, 2)
+
+    @pytest.mark.parametrize("m", [65, 2**63, 2**70, np.array([2, 65])])
+    def test_previous_epoch_past_int64_raises(self, m):
+        # tau1 2: epoch 64 holds 2^63 rounds, so epoch 65 and later cannot
+        # be sized in int64; epoch 64, after 2^62 rounds, still can
+        assert gamma_m(64, EpochSchedule(2), LinearChiSquaredRate(), 0.01, 2) > 0
+        with pytest.raises(ValueError, match=r"2\^63"):
             gamma_m(m, EpochSchedule(2), LinearChiSquaredRate(), 0.01, 2)
 
     @pytest.mark.parametrize("xi", [0.0, -0.25, float("nan")])
@@ -155,8 +165,9 @@ class TestSafetyCheckTimes:
         assert safety_check_times(70, s)[-1] == 2**70
 
 
-def straight_line_L(t, m, l_prev, tau1, delta, K, rate):
-    """Independent transcription of the L_t formula, summed round by round."""
+def straight_line_L_terms(t, m, l_prev, tau1, delta, K):
+    """Independent transcription of the L_t formula's four terms, the
+    exploration sum summed round by round: L_t = a - b - c - d."""
     dp = delta / 13.0
 
     def tau(j):
@@ -174,7 +185,22 @@ def straight_line_L(t, m, l_prev, tau1, delta, K, rate):
         n_prev = tau(e - 1) - tau(e - 2)
         total += math.sqrt(-2.0 * math.log((dp / e**2)) / n_prev)
     width = math.sqrt(2 * t * math.log(math.ceil(m + math.log2(tau1)) ** 3 / dp))
-    return t * l_prev - tau1 - width - EXPLORATION_CONSTANT * math.sqrt(K) * total
+    return t * l_prev, tau1, width, EXPLORATION_CONSTANT * math.sqrt(K) * total
+
+
+def straight_line_L(t, m, l_prev, tau1, delta, K, rate):
+    """Independent transcription of the L_t formula, summed round by round."""
+    a, b, c, d = straight_line_L_terms(t, m, l_prev, tau1, delta, K)
+    return a - b - c - d
+
+
+def assert_L_matches_transcription(got, t, m, l_prev, tau1, K):
+    """L_t against its transcription, to 1e-12 of the terms' scale: at large
+    t the terms nearly cancel, so summation-order rounding of about 1e-12 of
+    the terms can exceed 1e-12 of L_t itself."""
+    terms = straight_line_L_terms(t, m, l_prev, tau1, 0.05, K)
+    want = terms[0] - terms[1] - terms[2] - terms[3]
+    assert got == pytest.approx(want, abs=1e-12 * sum(map(abs, terms)))
 
 
 def straight_line_avg_threshold(t, m, l_prev, tau1, delta, K):
@@ -244,8 +270,14 @@ def check_rounds(draw):
     return tau1, m, t
 
 
+# a draw whose L_t (-43043.07) the two sums put 1.35e-12 of itself apart:
+# 5.9e-13 of the terms' scale (about 98339)
+CANCELLING_DRAW = dict(rounds=(27, 11, 27648), K=2, l_prev=1.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(rounds=check_rounds(), K=st.integers(2, 9), l_prev=st.floats(0.0, 1.0))
+@example(**CANCELLING_DRAW)
 def test_tests_match_transcriptions_at_any_round(rounds, K, l_prev):
     """Both tests' thresholds against their transcriptions, at rounds far
     past the tabulated cases: detection rounds alone cannot see an error in
@@ -254,7 +286,7 @@ def test_tests_match_transcriptions_at_any_round(rounds, K, l_prev):
     s = EpochSchedule(tau1)
     dp = 0.05 / 13
     got = float(thresholds(t, m, l_prev, s, RATE, dp, K)[0])
-    assert got == pytest.approx(straight_line_L(t, m, l_prev, tau1, 0.05, K, RATE), rel=1e-12)
+    assert_L_matches_transcription(got, t, m, l_prev, tau1, K)
     threshold = straight_line_avg_threshold(t, m, l_prev, tau1, 0.05, K)
     tol = 1e-12 * abs(threshold)
     assert avg_epoch_check(t, m, l_prev, threshold + tol, s, RATE, dp, K)
@@ -263,6 +295,7 @@ def test_tests_match_transcriptions_at_any_round(rounds, K, l_prev):
 
 @settings(max_examples=25, deadline=None)
 @given(rounds=check_rounds(), K=st.integers(2, 9), l_prev=st.floats(0.0, 1.0))
+@example(**CANCELLING_DRAW)
 def test_thresholds_match_transcriptions_on_a_whole_epoch(rounds, K, l_prev):
     """One call with every check round of epoch m, as the loop makes it."""
     tau1, m, _ = rounds
@@ -271,8 +304,7 @@ def test_thresholds_match_transcriptions_on_a_whole_epoch(rounds, K, l_prev):
     floor, avg_floor = thresholds(ts, m, l_prev, s, RATE, 0.05 / 13, K)
     assert floor.shape == avg_floor.shape == ts.shape
     for t, got_L, got_avg in zip(ts.tolist(), floor.tolist(), avg_floor.tolist()):
-        want_L = straight_line_L(t, m, l_prev, tau1, 0.05, K, RATE)
-        assert got_L == pytest.approx(want_L, rel=1e-12)
+        assert_L_matches_transcription(got_L, t, m, l_prev, tau1, K)
         want_avg = straight_line_avg_threshold(t, m, l_prev, tau1, 0.05, K)
         assert got_avg == pytest.approx(want_avg, rel=1e-12)
 

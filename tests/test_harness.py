@@ -96,14 +96,18 @@ class TestConfig:
             ExperimentConfig(runs=0).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(runs=10**6, horizon=10**6).validate()
-        ExperimentConfig().validate()
+        # an environment's own parameters are judged here too
+        with pytest.raises(ConfigError):
+            ExperimentConfig(env="lower-bound", env_b=0.9).validate()
+        cfg = ExperimentConfig(env="lower-bound", env_k=3, env_b=0.01, tau1=4, horizon=64)
+        algo_cfg, env = cfg.validate()
+        assert algo_cfg == AlgorithmConfig(4, 0.05, 64, False)
+        assert isinstance(env, LowerBoundEnv) and env.K == 3
 
     def test_build_environment(self):
         assert build_environment(ExperimentConfig(env="intro-example")).K == 2
         env = build_environment(ExperimentConfig(env="lower-bound", env_k=3, env_b=0.01))
         assert env.K == 3
-        with pytest.raises(ConfigError):
-            build_environment(ExperimentConfig(env="lower-bound", env_b=0.9))
         # realizable instance is fixed by the config alone
         a = build_environment(ExperimentConfig(env="realizable-linear"))
         b = build_environment(ExperimentConfig(env="realizable-linear"))
@@ -297,6 +301,17 @@ class TestCompare:
                 small_config(tmp_path, env="realizable-linear"),
             )
 
+    def test_bad_side_b_rejected_before_side_a_runs(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(harness, "run_safe_falcon", fail)
+        monkeypatch.setattr(harness, "run_falcon_plus", fail)
+        with pytest.raises(ConfigError):
+            compare_experiments(small_config(tmp_path, algorithm="safe-falcon"),
+                                small_config(tmp_path, runs=0))
+        assert not (tmp_path / "out").exists()
+
     def test_same_algorithm_rejected(self, tmp_path):
         # both sides' rows are keyed by algorithm, so they would collide
         with pytest.raises(ConfigError):
@@ -361,6 +376,15 @@ class TestCli:
             config.write_text(f"env = realizable-linear\nenv.K = {k}\nT = 16\n"
                               f"out = {tmp_path / 'out'}\n")
             assert main(["run", "--config", str(config)]) == 2
+        assert not (tmp_path / "out").exists()
+        # an environment's own parameters, judged before --out is made
+        for flag, value in (("env-k", "1"), ("env-b", "0.9")):
+            out = str(tmp_path / f"lower-bound-{flag}")
+            assert main(["run", "--env", "lower-bound", f"--{flag}", value, "--out", out]) == 2
+            assert main(["compare", "--a-algorithm", "safe-falcon", "--a-env", "lower-bound",
+                         f"--a-{flag}", value, "--b-algorithm", "falcon-plus",
+                         "--b-env", "lower-bound", f"--b-{flag}", value, "--out", out]) == 2
+            assert not (tmp_path / f"lower-bound-{flag}").exists()
         # out-of-range values: a ConfigError, not a traceback from
         # AlgorithmConfig or from np.random.Philox
         out = str(tmp_path / "bad")
