@@ -5,12 +5,11 @@ exploitation schedule, safe-policy bookkeeping, and the misspecification tests.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EpochSchedule, RunTrace, _gather, zero_model
+from .core import EpochSchedule, RunTrace, _gather, _whole, zero_model
 from .environments import BanditEnvironment
 from .oracle import Dataset, EstimationRate, RegressionOracle
 
@@ -33,9 +32,9 @@ class AlgorithmConfig:
         EpochSchedule(self.tau1)  # raises for a tau1 it cannot hold
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        # an int, as EpochSchedule's tau1: a non-integer horizon raises
-        # TypeError here, not deep inside the run
-        object.__setattr__(self, "horizon", operator.index(self.horizon))
+        # an int, as EpochSchedule's tau1: a bool or any other non-integer
+        # horizon raises TypeError here, not deep inside the run
+        object.__setattr__(self, "horizon", _whole(self.horizon))
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
 
@@ -126,16 +125,14 @@ def gamma_m(
     epoch's size. A float for an int m. Raises ValueError for m < 1, for an
     m whose previous epoch has 2^63 rounds or more (the int64 limit of
     ``EpochSchedule.epoch_size``'s array form, which an int m goes through
-    too) and for a rate whose xi is not positive; TypeError for a bool or
-    any other non-integer m."""
-    if np.ndim(m) == 0 and not isinstance(m, bool):
+    too) and for a rate whose xi is not positive; TypeError for a bool, a
+    bool array or any other non-integer m."""
+    m = _whole(m, arrays=True)
+    if np.ndim(m) == 0:
         # clamped to [0, int64 max], an int fits np.asarray and fails the
-        # checks below as before; a bool is left to the dtype check, since
-        # operator.index takes it as 0 or 1
-        m = min(max(operator.index(m), 0), np.iinfo(np.int64).max)
+        # checks below as before
+        m = min(max(m, 0), np.iinfo(np.int64).max)
     m = np.asarray(m)
-    if m.dtype == bool:
-        raise TypeError("epoch index must be an integer, not a bool")
     if (m < 1).any():
         raise ValueError("epoch index must be >= 1")
     from_2 = np.maximum(m, 2)
@@ -366,7 +363,7 @@ def _run_epoch_loop(
             model, gamma = models[m - 1], gammas[m - 1]
         # after a detection, model and gamma stay the fallback's; drawing
         # the uniforms after the kernel keeps them out of its working set
-        P = action_probs(model.values_batch(X), gamma)
+        P = action_probs(model.values(X), gamma)
         U = act_rng.random(hi - lo)
         _draw_arms(P, U, A)
         del P
@@ -396,7 +393,7 @@ def _run_epoch_loop(
                     # <= 0; fall back to the uniform epoch-1 kernel then.
                     model, gamma = models[max(m_hat, 1) - 1], gammas[max(m_hat, 1) - 1]
                     rest = slice(t - lo, None)
-                    P = action_probs(model.values_batch(X[rest]), gamma)
+                    P = action_probs(model.values(X[rest]), gamma)
                     _draw_arms(P, U[rest], A[rest])
                     del P
                     _gather(R[rest], A[rest], r[rest])

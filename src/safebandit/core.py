@@ -26,18 +26,14 @@ _ZERO, _ONE = _constant(0.0), _constant(1.0)
 class OutcomeModel:
     """Deterministic map from (context, arm) to a mean reward in [0, 1].
 
-    Subclasses override ``values_batch``, which maps an (n, dim) array of
-    contexts to the (n, K) array of predictions, already clamped to [0, 1].
-    ``values`` gives the length-K vector for one context as row 0 of a batch
-    of one, so each formula is written once.
+    Subclasses override ``values``, which maps an (n, dim) array of contexts
+    to the (n, K) array of predictions, already clamped to [0, 1]. The
+    built-in models also map one (dim,) context to its (K,) values, with the
+    bits of row 0 of a batch of that one row.
     """
 
-    def values_batch(self, X) -> np.ndarray:
+    def values(self, X) -> np.ndarray:
         raise NotImplementedError
-
-    def values(self, x) -> np.ndarray:
-        # one context, a scalar or a 1-d array, as a batch of one row
-        return self.values_batch(np.atleast_1d(np.asarray(x, dtype=float))[None, :])[0]
 
 
 class ConstantModel(OutcomeModel):
@@ -46,7 +42,7 @@ class ConstantModel(OutcomeModel):
     def __init__(self, values):
         self._values = np.clip(np.asarray(values, dtype=float), 0.0, 1.0)
 
-    def values_batch(self, X) -> np.ndarray:
+    def values(self, X) -> np.ndarray:
         # (K,) for one context, (n, K) for a batch, as LinearPerArmModel's
         return np.broadcast_to(self._values, np.shape(X)[:-1] + self._values.shape)
 
@@ -58,10 +54,10 @@ def zero_model(K: int) -> ConstantModel:
 class LinearPerArmModel(OutcomeModel):
     """Per-arm affine model: intercept[a] + slope[a] . x, clamped to [0, 1].
 
-    ``values_batch`` also takes one (dim,) context and returns its (K,)
-    values, with the same bits as row 0 of a batch of that one row, except
-    that where two NaNs meet the result's NaN payload may differ (the two
-    shapes run different numpy loops).
+    ``values`` also takes one (dim,) context and returns its (K,) values,
+    with the same bits as row 0 of a batch of that one row, except that
+    where two NaNs meet the result's NaN payload may differ (the two shapes
+    run different numpy loops).
 
     It sums arm-major, starting from the first context dim's product and
     adding the other dims in order, then the intercepts plus +0.0. Those
@@ -91,7 +87,7 @@ class LinearPerArmModel(OutcomeModel):
             2: ([self.slopes[:, d, None] for d in dims], shifted[:, None]),
         }
 
-    def values_batch(self, X) -> np.ndarray:
+    def values(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         # None unless X is one context or a batch
         views = self._arm_major.get(X.ndim)
@@ -115,6 +111,38 @@ class LinearPerArmModel(OutcomeModel):
         return _clip(total, _ZERO, _ONE, out=total).T
 
 
+# the largest epoch EpochSchedule takes: a run has at most 63 epochs, and
+# tau of epoch 1024 is already an int of over 1024 bits
+MAX_EPOCH = 1024
+
+
+def _whole(n, arrays: bool = False):
+    """n as an int, or with ``arrays`` as an int64 array when it has an
+    axis. A bool, a bool array or any other non-integer raises TypeError:
+    ``operator.index`` alone takes a Python bool as 0 or 1."""
+    if arrays and np.ndim(n) > 0:
+        n = np.asarray(n)
+        if n.dtype == bool:
+            raise TypeError("expected integers, not bool values")
+        # int64, so that no shift wraps in a narrower dtype; floats and
+        # uint64 cannot be cast safely and raise TypeError
+        return n.astype(np.int64, casting="safe", copy=False)
+    if isinstance(n, bool):
+        raise TypeError("expected an integer, not a bool")
+    return operator.index(n)
+
+
+def _epoch(m, least: int) -> int:
+    """``_whole(m)``, raising ValueError for an epoch below ``least`` or
+    above ``MAX_EPOCH``."""
+    m = _whole(m)
+    if m < least:
+        raise ValueError(f"epoch index must be >= {least}")
+    if m > MAX_EPOCH:
+        raise ValueError(f"epoch index must be <= MAX_EPOCH = {MAX_EPOCH}")
+    return m
+
+
 @dataclass(frozen=True)
 class EpochSchedule:
     """Doubling epoch boundaries: tau_0 = 0, tau_m = tau_1 * 2^(m-1)."""
@@ -129,11 +157,10 @@ class EpochSchedule:
             raise ValueError("tau1 must lie in [2, 2^63)")
 
     def tau(self, m: int) -> int:
-        """tau_m, exact for any int epoch m >= 0: a numpy int is taken as a
-        Python int, so the shift does not wrap past int64."""
-        m = operator.index(m)
-        if m < 0:
-            raise ValueError("epoch index must be >= 0")
+        """tau_m, exact for any int epoch 0 <= m <= ``MAX_EPOCH``: a numpy
+        int is taken as a Python int, so the shift does not wrap past int64.
+        A bool or any other non-integer m raises TypeError."""
+        m = _epoch(m, 0)
         if m == 0:
             return 0
         return self.tau1 << (m - 1)
@@ -141,24 +168,24 @@ class EpochSchedule:
     def epoch_of(self, t: int) -> int:
         """The epoch m with tau_{m-1} < t <= tau_m, in closed form: one plus
         the bit length of (t - 1) // tau_1. Exact for any int round t >= 1;
-        a non-integer t raises TypeError."""
-        t = operator.index(t)
+        a bool or any other non-integer t raises TypeError."""
+        t = _whole(t)
         if t < 1:
             raise ValueError("round index must be >= 1")
         return 1 + ((t - 1) // self.tau1).bit_length()
 
     def epoch_size(self, m):
         """Rounds in epoch m >= 1, an int or an int array of epochs: tau_1 in
-        epochs 1 and 2, then doubling. An int gives an exact int; an array
-        gives int64 sizes, and raises ValueError for a size of 2^63 or more.
-        A non-integer epoch raises TypeError."""
+        epochs 1 and 2, then doubling. An int m <= ``MAX_EPOCH`` gives an
+        exact int; an array of any integer dtype but uint64 gives int64
+        sizes, and raises ValueError for a size of 2^63 or more. A bool, a
+        bool or uint64 array or any other non-integer epoch raises
+        TypeError."""
         if np.ndim(m) == 0:
             # a Python int, exact however large the epoch
-            m = operator.index(m)
-            if m < 1:
-                raise ValueError("epoch index must be >= 1")
-            return self.tau1 << max(m - 2, 0)
-        if (np.asarray(m) < 1).any():
+            return self.tau1 << max(_epoch(m, 1) - 2, 0)
+        m = _whole(m, arrays=True)
+        if (m < 1).any():
             raise ValueError("epoch index must be >= 1")
         shift = np.maximum(m - 2, 0)
         if (shift > 63 - self.tau1.bit_length()).any():

@@ -160,13 +160,13 @@ class RealizableLinearEnv(_OneBody):
         self.K, self.dim = self.slopes.shape
 
     def means_batch(self, X) -> np.ndarray:
-        return self._truth.values_batch(X)
+        return self._truth.values(X)
 
     def _draw(self, rng, lead):
         X = rng.random(lead + (self.dim,))
         # the true model itself, one call frame less per round than through
         # means_batch; a subclass with other means overrides _draw as well
-        means = self._truth.values_batch(X)
+        means = self._truth.values(X)
         rewards = rng.random(lead + (self.K,))
         rewards *= _NOISE_WIDTH
         rewards += _NOISE_LOW

@@ -160,11 +160,16 @@ def _make_out_dir(path: str):
 
 
 def run_replications(cfg: ExperimentConfig):
-    """Run the configured replications; per-run seed is base seed + run id."""
+    """Run the configured replications; per-run seed is base seed + run id.
+    Each run plays a freshly built environment (run 0 the one ``validate``
+    built), so a stateful environment starts every run at round 0."""
     algo_cfg, env = cfg.validate()
     oracle = LinearPerArmOracle(env.K, env.dim)
     runner = run_safe_falcon if cfg.algorithm == "safe-falcon" else run_falcon_plus
-    return [runner(env, oracle, algo_cfg, cfg.seed + i) for i in range(cfg.runs)]
+    return [
+        runner(env if i == 0 else build_environment(cfg), oracle, algo_cfg, cfg.seed + i)
+        for i in range(cfg.runs)
+    ]
 
 
 # trace.csv rows formatted and written per block: the writer's memory is set

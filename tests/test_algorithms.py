@@ -20,6 +20,8 @@ from safebandit import (
     LinearChiSquaredRate,
     LinearPerArmOracle,
     LowerBoundEnv,
+    OutcomeModel,
+    RegressionOracle,
     RunTrace,
     action_probs,
     avg_epoch_check,
@@ -436,7 +438,8 @@ class TestAlgorithmConfig:
         # is refused at construction rather than deep inside the run
         cfg = AlgorithmConfig(2, 0.05, np.int64(1000))
         assert cfg.horizon == 1000 and type(cfg.horizon) is int
-        for horizon in (1e3, 1000.0, np.float64(1000.0)):
+        # nor is a bool, which operator.index alone takes as 0 or 1
+        for horizon in (1e3, 1000.0, np.float64(1000.0), True, False, np.True_):
             with pytest.raises(TypeError):
                 AlgorithmConfig(2, 0.05, horizon)
 
@@ -467,6 +470,31 @@ class TestEpochLoopIntegration:
         trace_without = run_safe_falcon(env2, LinearPerArmOracle(2, 1), cfg2, seed=0)
         if trace_without.detection_round is not None:
             assert trace_with.detection_round <= trace_without.detection_round
+
+    def test_a_model_needs_only_values(self):
+        # a user model overrides one method; the engine evaluates each
+        # epoch's model once on the epoch's contexts, and the fallback once
+        # more on the rounds after a detection
+        calls = []
+
+        class Favourite(OutcomeModel):
+            def values(self, X):
+                calls.append(len(X))
+                return np.tile([0.6, 0.4], (len(X), 1))
+
+        class FavouriteOracle(RegressionOracle):
+            rate = LinearChiSquaredRate()
+
+            def fit(self, data):
+                return Favourite()
+
+        env = CollapseEnv(collapse_at=256, crash=-50.0)
+        cfg = AlgorithmConfig(tau1=64, delta=0.05, horizon=1024)
+        trace = run_safe_falcon(env, FavouriteOracle(), cfg, seed=0)
+        # the check at round 384 of epoch 4 (rounds 257..512) fails, and
+        # epoch 3's model replays rounds 385..512 and plays epoch 5
+        assert trace.detection_round == 384 and trace.m_hat_final == 3
+        assert calls == [64, 128, 256, 128, 512]
 
     def test_safe_falcon_matches_gamma_matched_twin_when_no_flip(self):
         # with gamma scale 1 and no flip, the test-free loop is byte-identical

@@ -12,7 +12,7 @@ from safebandit import (
     RunTrace,
     zero_model,
 )
-from safebandit.core import _ONE, _ZERO, _clip
+from safebandit.core import _ONE, _ZERO, MAX_EPOCH, _clip
 from support import same_bits
 
 
@@ -56,6 +56,9 @@ class TestEpochSchedule:
             want = [s.tau(m) - s.tau(m - 1) for m in range(1, 70)]
             assert [s.epoch_size(m) for m in range(1, 70)] == want
             assert s.epoch_size(np.arange(1, 12)).tolist() == want[:11]
+            # sized in int64 whatever the epochs' integer dtype
+            for dtype in (np.int8, np.uint8, np.int32):
+                assert s.epoch_size(np.arange(1, 12, dtype=dtype)).tolist() == want[:11]
         assert [EpochSchedule(2).epoch_size(m) for m in range(1, 5)] == [2, 2, 4, 8]
 
     def test_epoch_size_takes_integer_epochs_only(self):
@@ -65,8 +68,10 @@ class TestEpochSchedule:
         for m in (2.5, 3.9, 2.0, np.float64(3.0), np.array(2.5)):
             with pytest.raises(TypeError):
                 s.epoch_size(m)
-        with pytest.raises(TypeError):
-            s.epoch_size(np.array([2.0, 3.0]))
+        # nor is a float or a uint64 array, which int64 cannot hold safely
+        for m in (np.array([2.0, 3.0]), np.array([2, 3], dtype=np.uint64)):
+            with pytest.raises(TypeError):
+                s.epoch_size(m)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -89,21 +94,44 @@ class TestEpochSchedule:
         with pytest.raises(ValueError, match="int64"):
             EpochSchedule(3).epoch_size(np.array([66]))
 
+    def test_bool_epochs_and_rounds_raise(self):
+        # operator.index takes a Python bool as 0 or 1, and a bool array
+        # would pass as ints
+        s = EpochSchedule(2)
+        for method in (s.tau, s.epoch_of, s.epoch_size):
+            for value in (True, False, np.True_):
+                with pytest.raises(TypeError):
+                    method(value)
+        for m in (np.array([True, True]), np.array([False])):
+            with pytest.raises(TypeError):
+                s.epoch_size(m)
+
+    def test_epoch_past_the_limit_raises(self):
+        # epoch MAX_EPOCH is exact; past it the exact ints would only grow
+        # toward a MemoryError
+        s = EpochSchedule(2)
+        assert s.tau(MAX_EPOCH) == 2**MAX_EPOCH
+        assert s.epoch_size(MAX_EPOCH) == 2 ** (MAX_EPOCH - 1)
+        for m in (MAX_EPOCH + 1, 2**63, np.int64(2**62)):
+            for method in (s.tau, s.epoch_size):
+                with pytest.raises(ValueError, match=f"MAX_EPOCH = {MAX_EPOCH}"):
+                    method(m)
+
 
 class TestModels:
     def test_constant_model_clamps(self):
         m = ConstantModel([-0.5, 0.3, 1.7])
-        np.testing.assert_allclose(m.values(0.0), [0.0, 0.3, 1.0])
+        np.testing.assert_allclose(m.values([0.0]), [0.0, 0.3, 1.0])
 
     def test_zero_model(self):
-        np.testing.assert_array_equal(zero_model(3).values(0.7), np.zeros(3))
+        np.testing.assert_array_equal(zero_model(3).values([0.7]), np.zeros(3))
 
     def test_linear_per_arm_model(self):
         m = LinearPerArmModel([0.3, 0.6], [[0.4], [-0.2]])
-        np.testing.assert_allclose(m.values(0.5), [0.5, 0.5])
-        np.testing.assert_allclose(m.values(0.0), [0.3, 0.6])
+        np.testing.assert_allclose(m.values([0.5]), [0.5, 0.5])
+        np.testing.assert_allclose(m.values([0.0]), [0.3, 0.6])
         # clamped to [0, 1]
-        np.testing.assert_allclose(m.values(10.0), [1.0, 0.0])
+        np.testing.assert_allclose(m.values([10.0]), [1.0, 0.0])
 
     def test_linear_model_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -112,14 +140,14 @@ class TestModels:
         # and in a batch
         model = LinearPerArmModel([0.1, 0.2], [[0.3, 0.5], [0.2, 0.1]])
         for x in ([0.5], [0.5] * 3):
-            for values in (model.values, model.values_batch, lambda x: model.values_batch([x])):
+            for values in (model.values, lambda x: model.values([x])):
                 with pytest.raises(ValueError, match="model of dim 2"):
                     values(x)
         # neither one context nor a batch: a scalar and a 3-d array
         model = LinearPerArmModel([0.1, 0.2], [[0.3], [0.4]])
         for X in (0.5, np.zeros((1, 1, 1))):
             with pytest.raises(ValueError, match=r"shape \(.*\) for a model of dim 1"):
-                model.values_batch(X)
+                model.values(X)
 
     def test_clip_handle_has_ndarray_clip_bits(self):
         # signed zeros and NaNs, a NaN payload, infinities, the smallest
@@ -198,10 +226,10 @@ def test_batch_rows_equal_one_row_values(kind, seed, K, dim, n):
     rng = np.random.Generator(np.random.Philox(seed))
     model = _built_in_model(kind, rng, K, dim)
     X = rng.uniform(-5, 5, (n, dim)) * rng.choice([1e-3, 1.0, 1e3], (n, dim))
-    batch = model.values_batch(X)
+    batch = model.values(X)
     assert batch.shape == (n, K)
     for i in range(n):
-        # one (dim,) context, through values and straight to values_batch
-        for one in (model.values(X[i]), model.values_batch(X[i])):
-            assert one.shape == (K,)
-            np.testing.assert_array_equal(batch[i], one)
+        # one (dim,) context
+        one = model.values(X[i])
+        assert one.shape == (K,)
+        np.testing.assert_array_equal(batch[i], one)

@@ -165,6 +165,22 @@ class TestRunExperiment:
         assert all(t.safe.all() for t in traces)  # realizable: no flips
         assert all(first_flip_epoch(t) is None for t in traces)
 
+    def test_each_run_plays_its_own_environment(self, monkeypatch):
+        # stateful: every arm's reward drops by 1 after round 100 of the
+        # object's life, so an environment shared by the runs would drop
+        # from run 1's first round on
+        def shifted(cfg):
+            inner = realizable_linear_env(2, 1, coefficient_seed=5)
+            return Edited(inner, lambda t, x, m, r: (x, m, r - (1.0 if t > 100 else 0.0)))
+
+        monkeypatch.setitem(harness.ENVIRONMENTS, "shifted", shifted)
+        cfg = ExperimentConfig(env="shifted", horizon=256, runs=2, seed=0)
+        _, second = run_replications(cfg)
+        (alone,) = run_replications(replace(cfg, runs=1, seed=1))
+        assert second.reward_vectors[:100].min() >= 0.0
+        np.testing.assert_array_equal(second.reward_vectors, alone.reward_vectors)
+        np.testing.assert_array_equal(second.actions, alone.actions)
+
 
 def reference_write_trace_csv(path, traces):
     """The trace writer as a plain csv.writer loop, one row at a time."""

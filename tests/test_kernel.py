@@ -7,12 +7,12 @@ per-epoch arithmetic became arm-major: numpy reductions along the short last
 bit. From 8 terms on numpy switches to pairwise summation, so there the
 arm-major code must instead give one row the same bits as that row of a batch.
 
-``clip_form_values_batch`` is the arm-major model before its sum was clipped
+``clip_form_values`` is the arm-major model before its sum was clipped
 in place: it adds the intercepts into a new array and calls ``np.clip``.
 Addition commutes and ``ndarray.clip`` calls the same ufunc, so the two must
 agree bit for bit at any K and dim.
 
-``zero_start_values_batch`` is the arm-major model before its sum started
+``zero_start_values`` is the arm-major model before its sum started
 from the first product: it sums from +0.0 and adds the intercepts in place.
 It adds every operand in the model's order, so the two must agree bit for
 bit on any input, NaN payloads included. The references above multiply and
@@ -62,19 +62,19 @@ def reference_draw_arms(p, u):
     return np.minimum(below.sum(axis=-1), p.shape[-1] - 1)
 
 
-def reference_values_batch(intercepts, slopes, X):
+def reference_values(intercepts, slopes, X):
     products = X[:, None, :] * slopes
     return np.clip(intercepts + products.sum(axis=-1), 0.0, 1.0)
 
 
-def clip_form_values_batch(intercepts, slopes, X):
+def clip_form_values(intercepts, slopes, X):
     total = np.zeros((len(intercepts), len(X)))
     for d in range(X.shape[1]):
         total += slopes[:, d, None] * X[:, d]
     return np.clip(intercepts[:, None] + total, 0.0, 1.0).T
 
 
-def zero_start_values_batch(intercepts, slopes, X):
+def zero_start_values(intercepts, slopes, X):
     # one (dim,) context or an (n, dim) batch, arm-major (K,) or (K, n)
     axes = tuple(range(1, X.ndim))
     total = np.zeros(intercepts.shape + X.shape[:-1])
@@ -190,15 +190,15 @@ def test_first_max_stops_at_the_first_nan():
     seed=st.integers(0, 2**63 - 1),
     n=st.sampled_from(ROWS),
 )
-def test_values_batch_equals_reference(K, dim, seed, n):
+def test_values_equals_reference(K, dim, seed, n):
     rng = np.random.Generator(np.random.Philox(seed))
     intercepts, slopes = coefficients(rng, K, dim)
     X = rng.uniform(-2.0, 2.0, (n, dim))
     X[rng.random((n, dim)) < 0.1] = -0.0
-    got = LinearPerArmModel(intercepts, slopes).values_batch(X)
-    assert same_bits(got, reference_values_batch(intercepts, slopes, X))
-    assert same_bits(got, clip_form_values_batch(intercepts, slopes, X))
-    assert same_bits(got, zero_start_values_batch(intercepts, slopes, X))
+    got = LinearPerArmModel(intercepts, slopes).values(X)
+    assert same_bits(got, reference_values(intercepts, slopes, X))
+    assert same_bits(got, clip_form_values(intercepts, slopes, X))
+    assert same_bits(got, zero_start_values(intercepts, slopes, X))
 
 
 # ±0, ±inf, ±the least subnormal, finite values, quiet NaNs of both signs with
@@ -236,7 +236,7 @@ def same_bits_but_nan_payloads(a, b):
     return same_bits(np.where(both, np.nan, a), np.where(both, np.nan, b))
 
 
-def test_values_batch_special_values_grid():
+def test_values_special_values_grid():
     """The first-product start with the +0.0-shifted intercepts gives the
     bits of the sum from +0.0 on a grid of special values, including the
     all -0.0 product chains with a -0.0 intercept, where a first-product
@@ -246,13 +246,13 @@ def test_values_batch_special_values_grid():
         with np.errstate(invalid="ignore"):
             products = X[:, None, :] * slopes
             model = LinearPerArmModel(intercepts, slopes)
-            got = model.values_batch(X)
-            rows = [model.values_batch(x) for x in X]
-            want = zero_start_values_batch(intercepts, slopes, X)
-            want_rows = [zero_start_values_batch(intercepts, slopes, x) for x in X]
+            got = model.values(X)
+            rows = [model.values(x) for x in X]
+            want = zero_start_values(intercepts, slopes, X)
+            want_rows = [zero_start_values(intercepts, slopes, x) for x in X]
             references = [
-                reference_values_batch(intercepts, slopes, X),
-                clip_form_values_batch(intercepts, slopes, X),
+                reference_values(intercepts, slopes, X),
+                clip_form_values(intercepts, slopes, X),
             ]
         negative_zero = (products == 0) & np.signbit(products)
         assert (negative_zero.all(axis=-1) & (intercepts == 0) & np.signbit(intercepts)).any()
@@ -264,23 +264,23 @@ def test_values_batch_special_values_grid():
             assert same_bits_but_nan_payloads(got, reference)
 
 
-def test_values_batch_of_dim_zero_is_the_clamped_intercepts():
+def test_values_of_dim_zero_is_the_clamped_intercepts():
     """No slope columns, so no first product: one context and a batch give
     the clamped intercepts, -0.0 made +0.0 as by a sum from +0.0."""
     intercepts = np.array([0.5, 0.2, -0.0, 1.5, -2.0])
     model = LinearPerArmModel(intercepts, np.zeros((5, 0)))
     want = np.clip(intercepts + 0.0, 0.0, 1.0)
-    assert same_bits(model.values_batch(np.zeros(0)), want)
-    assert same_bits(model.values_batch(np.zeros((3, 0))), np.tile(want, (3, 1)))
+    assert same_bits(model.values(np.zeros(0)), want)
+    assert same_bits(model.values(np.zeros((3, 0))), np.tile(want, (3, 1)))
     assert same_bits(
-        LinearPerArmModel([0.5, 0.2], np.zeros((2, 0))).values_batch(np.zeros((3, 0))),
+        LinearPerArmModel([0.5, 0.2], np.zeros((2, 0))).values(np.zeros((3, 0))),
         np.array([[0.5, 0.2]] * 3),
     )
 
 
 @settings(max_examples=60, deadline=None)
 @given(K=st.integers(1, 12), dim=st.integers(1, 10), seed=st.integers(0, 2**63 - 1))
-def test_values_batch_of_one_context_equals_batch_row(K, dim, seed):
+def test_values_of_one_context_equals_batch_row(K, dim, seed):
     """One (dim,) context gives the (K,) bits of row 0 of its (1, dim)
     batch: -0.0 intercepts and contexts, and NaN contexts, included."""
     rng = np.random.Generator(np.random.Philox(seed))
@@ -289,7 +289,7 @@ def test_values_batch_of_one_context_equals_batch_row(K, dim, seed):
     X[rng.random((17, dim)) < 0.1] = -0.0
     X[rng.random((17, dim)) < 0.05] = np.nan
     for x in X:
-        assert same_bits(model.values_batch(x), model.values_batch(x[None])[0])
+        assert same_bits(model.values(x), model.values(x[None])[0])
 
 
 @settings(max_examples=30, deadline=None)
@@ -320,12 +320,12 @@ def test_wide_values_row_equals_batch_row(K, dim, seed, n):
     intercepts, slopes = coefficients(rng, K, dim)
     model = LinearPerArmModel(intercepts, slopes)
     X = rng.uniform(-2.0, 2.0, (n, dim))
-    batch = model.values_batch(X)
-    assert same_bits(batch, clip_form_values_batch(intercepts, slopes, X))
+    batch = model.values(X)
+    assert same_bits(batch, clip_form_values(intercepts, slopes, X))
     for i in {0, n // 2, n - 1}:
         assert same_bits(model.values(X[i]), batch[i])
     np.testing.assert_allclose(
-        batch, reference_values_batch(intercepts, slopes, X), rtol=1e-12, atol=1e-15
+        batch, reference_values(intercepts, slopes, X), rtol=1e-12, atol=1e-15
     )
 
 

@@ -145,7 +145,7 @@ class TestLinearPerArmOracle:
     def test_unseen_arm_defaults_to_half(self):
         data = dataset([(np.array([0.1]), 0, 0.4), (np.array([0.9]), 0, 0.8)])
         model = LinearPerArmOracle(K=2, dim=1).fit(data)
-        assert model.values(0.3)[1] == pytest.approx(0.5)
+        assert model.values([0.3])[1] == pytest.approx(0.5)
 
     def test_degenerate_design_falls_back_to_mean(self):
         # all contexts identical: rank-deficient design, use the mean

@@ -6,7 +6,7 @@ calling ``np.clip``, and the default ``sample_batch`` gathering the rows of
 ``sample`` with ``zip`` and ``np.array``. Addition commutes and
 ``ndarray.clip`` calls the same ufunc as ``np.clip``, so the two must agree
 bit for bit: values, dtypes and the signs of zeros. (``test_kernel.py``
-holds the ``np.clip`` form of ``LinearPerArmModel.values_batch``.)
+holds the ``np.clip`` form of ``LinearPerArmModel.values``.)
 
 The stateful negated environment wraps a built-in one. Its reference copy
 takes each inner round as the built-ins' ``sample`` gave it before they drew
