@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EpochSchedule, RunTrace, _gather, _whole, zero_model
-from .environments import BanditEnvironment
+from .environments import BanditEnvironment, _check_batch
 from .oracle import Dataset, EstimationRate, RegressionOracle
 
 # Constant in front of the exploration sums; (2 + C0) * sqrt(8) with C0 = 5.15,
@@ -350,6 +350,7 @@ def _run_epoch_loop(
     for m in range(1, last + 1):
         lo, hi = schedule.tau(m - 1), min(schedule.tau(m), T)
         X, means, R = env.sample_batch(env_rng, hi - lo)
+        _check_batch(env, hi - lo, X, means, R)
         trace.contexts[lo:hi] = X
         trace.reward_vectors[lo:hi] = R
         trace.optimal_arms[lo:hi], trace.optimal_means[lo:hi] = _first_max(means.T)

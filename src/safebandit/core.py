@@ -44,7 +44,10 @@ class ConstantModel(OutcomeModel):
 
     def values(self, X) -> np.ndarray:
         # (K,) for one context, (n, K) for a batch, as LinearPerArmModel's
-        return np.broadcast_to(self._values, np.shape(X)[:-1] + self._values.shape)
+        shape = np.shape(X)
+        if len(shape) not in (1, 2):
+            raise ValueError(f"contexts of shape {shape} for a constant model")
+        return np.broadcast_to(self._values, shape[:-1] + self._values.shape)
 
 
 def zero_model(K: int) -> ConstantModel:

@@ -63,6 +63,18 @@ def _check_row(env, x, means, rewards):
         )
 
 
+def _check_batch(env, n, X, means, rewards):
+    """Raise unless a ``sample_batch`` of n rounds holds (n, dim) contexts
+    and (n, K) means and rewards."""
+    got = np.shape(X), np.shape(means), np.shape(rewards)
+    if got != ((n, env.dim), (n, env.K), (n, env.K)):
+        raise ValueError(
+            f"{type(env).__name__}.sample_batch returned contexts of shape {got[0]}, "
+            f"means of shape {got[1]} and rewards of shape {got[2]}; expected contexts "
+            f"of shape {(n, env.dim)} and means and rewards of shape {(n, env.K)}"
+        )
+
+
 class _OneBody(BanditEnvironment):
     """A built-in environment. Its ``_draw(rng, lead)`` draws one round for
     lead ``()`` and n rounds for lead ``(n,)``, each array shaped ``lead``
@@ -164,9 +176,7 @@ class RealizableLinearEnv(_OneBody):
 
     def _draw(self, rng, lead):
         X = rng.random(lead + (self.dim,))
-        # the true model itself, one call frame less per round than through
-        # means_batch; a subclass with other means overrides _draw as well
-        means = self._truth.values(X)
+        means = self.means_batch(X)
         rewards = rng.random(lead + (self.K,))
         rewards *= _NOISE_WIDTH
         rewards += _NOISE_LOW

@@ -11,6 +11,7 @@ import numpy as np
 
 from .algorithms import AlgorithmConfig, run_falcon_plus, run_safe_falcon
 from .analysis import aggregate_runs, epoch_summaries
+from .core import _whole
 from .environments import BanditEnvironment, IntroExampleEnv, LowerBoundEnv, realizable_linear_env
 from .oracle import LinearPerArmOracle
 
@@ -74,16 +75,19 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.env not in ENVIRONMENTS:
             raise ConfigError(f"unknown environment {self.env!r}")
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.runs * self.horizon > ROUND_BUDGET:
-            raise ConfigError("runs * T exceeds the round budget")
         try:
+            # a float or a bool count raises TypeError, as the horizon and
+            # tau1 do, and like a ValueError becomes a ConfigError
+            if _whole(self.runs) < 1:
+                raise ValueError("runs must be >= 1")
+            if _whole(self.seed) < 0:
+                raise ValueError("seed must be >= 0")
+            _whole(self.env_k)
+            if self.runs * self.horizon > ROUND_BUDGET:
+                raise ValueError("runs * T exceeds the round budget")
             algo_cfg = AlgorithmConfig(self.tau1, self.delta, self.horizon, self.avg_epoch_test)
             return algo_cfg, build_environment(self)
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from e
 
 

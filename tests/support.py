@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from safebandit import BanditEnvironment
+from safebandit import BanditEnvironment, realizable_linear_env
 
 
 def same_bits(a, b):
@@ -32,3 +32,11 @@ class Edited(BanditEnvironment):
     def sample(self, rng):
         self.t += 1
         return self.edit(self.t, *self.row(rng))
+
+
+def shifted_realizable_k5():
+    """Realizable K = 5 whose means and rewards drop by 5 after round 2048:
+    with tau1 = 64, Safe-FALCON detects the shift in epoch 8 and plays the
+    rest of the run on the fallback kernel."""
+    return Edited(realizable_linear_env(5, 1, coefficient_seed=20210229),
+                  lambda t, x, m, r: (x, m - 5.0, r - 5.0) if t > 2048 else (x, m, r))

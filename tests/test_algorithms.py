@@ -38,7 +38,7 @@ from safebandit import (
 )
 from safebandit import algorithms
 from safebandit.algorithms import EXPLORATION_CONSTANT, FALCON_PLUS_GAMMA_SCALE
-from support import Edited, same_bits
+from support import same_bits, shifted_realizable_k5
 
 RATE = LinearChiSquaredRate()
 
@@ -757,11 +757,6 @@ def _intro():
     return IntroExampleEnv()
 
 
-def _shifted_realizable_k5():
-    return Edited(realizable_linear_env(5, 1, coefficient_seed=20210229),
-                  lambda t, x, m, r: (x, m - 5.0, r - 5.0) if t > 2048 else (x, m, r))
-
-
 def _realizable_k3_dim2():
     return realizable_linear_env(3, dim=2, coefficient_seed=4)
 
@@ -793,7 +788,7 @@ REFERENCE_CASES = [
     ("realizable-k3-dim2", _realizable_k3_dim2, 8, 2048, True, True, None),
     # stateful, drawn a round at a time by the default sample_batch; the
     # shift at round 2048 is detected at round 4224, in epoch 8
-    ("shifted-realizable-k5", _shifted_realizable_k5, 64, 4400, True, True, 4224),
+    ("shifted-realizable-k5", shifted_realizable_k5, 64, 4400, True, True, 4224),
     # 8 or more arms or context dims: numpy would sum such a row pairwise
     ("realizable-k9-dim9", _realizable_k9_dim9, 8, 2048, True, True, None),
     # more than 128 arms: the arm columns are int16, not int8
@@ -844,9 +839,8 @@ class TestCommonRandomNumbers:
             (_intro, 2, 4096, False),
             (lambda: realizable_linear_env(3, 1, coefficient_seed=4), 2, 4096, False),
             (lambda: LowerBoundEnv(3, 1 / 6), 2, 4096, False),
-            # stateful, so a fresh environment per run; Safe-FALCON detects
-            # the shift in epoch 8 and plays the rest of the run on the fallback
-            (_shifted_realizable_k5, 64, 10000, True),
+            # stateful, so a fresh environment per run
+            (shifted_realizable_k5, 64, 10000, True),
         ],
         ids=["intro", "realizable-linear", "lower-bound", "shifted-realizable-k5"],
     )

@@ -143,10 +143,18 @@ class TestModels:
             for values in (model.values, lambda x: model.values([x])):
                 with pytest.raises(ValueError, match="model of dim 2"):
                     values(x)
-        # neither one context nor a batch: a scalar and a 3-d array
-        model = LinearPerArmModel([0.1, 0.2], [[0.3], [0.4]])
-        for X in (0.5, np.zeros((1, 1, 1))):
-            with pytest.raises(ValueError, match=r"shape \(.*\) for a model of dim 1"):
+
+    @pytest.mark.parametrize(
+        "model",
+        [ConstantModel([0.2, 0.5]), LinearPerArmModel([0.1, 0.2], [[0.3], [0.4]])],
+        ids=["constant", "linear-per-arm"],
+    )
+    def test_models_take_one_context_or_a_batch(self, model):
+        assert model.values([0.3]).shape == (2,)
+        assert model.values(np.zeros((4, 1))).shape == (4, 2)
+        # neither one context nor a batch: a scalar and 3-d arrays
+        for X in (0.3, np.zeros((1, 1, 1)), np.zeros((2, 3, 1))):
+            with pytest.raises(ValueError, match=r"contexts of shape \(.*\) for a "):
                 model.values(X)
 
     def test_clip_handle_has_ndarray_clip_bits(self):

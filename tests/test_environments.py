@@ -99,6 +99,11 @@ class TestRealizableLinearEnv:
         env = Halved([0.3, 0.6], [[0.4], [-0.2]])
         X = np.array([[0.25], [0.75]])
         np.testing.assert_array_equal(env.means_batch(X), 0.5 * RealizableLinearEnv.means_batch(env, X))
+        # and the draws take their means from the override
+        x, means, _ = env.sample(_rng())
+        np.testing.assert_array_equal(means, env.means_batch(x))
+        X, means, _ = env.sample_batch(_rng(), 5)
+        np.testing.assert_array_equal(means, env.means_batch(X))
 
     def test_rewards_bounded(self):
         env = realizable_linear_env(3, dim=1, coefficient_seed=42)
@@ -297,3 +302,39 @@ class TestStatefulRowShapes:
         cfg = AlgorithmConfig(tau1=2, delta=0.05, horizon=8)
         with pytest.raises(ValueError, match=expected):
             run_safe_falcon(RowEnv(*row), LinearPerArmOracle(K, dim), cfg, seed=0)
+
+
+class CutBatchEnv(BanditEnvironment):
+    """Batch environment: intro-example's draw of n rounds, passed through
+    ``cut(X, means, rewards)``."""
+
+    K, dim = 2, 1
+
+    def __init__(self, cut):
+        self.cut = cut
+
+    def sample_batch(self, rng, n):
+        return self.cut(*IntroExampleEnv().sample_batch(rng, n))
+
+
+class TestBatchShapes:
+    # but for the engine's check, the first five would play, the trace
+    # broadcasting what it got, and the last two would fail deep in the loop
+    BAD = {
+        "one-arm": lambda X, m, r: (X, m[:, :1], r[:, :1]),
+        "rewards-one-arm": lambda X, m, r: (X, m, r[:, :1]),
+        "means-one-arm": lambda X, m, r: (X, m[:, :1], r),
+        "one-row": lambda X, m, r: (X[:1], m[:1], r[:1]),
+        "context-one-row": lambda X, m, r: (X[:1], m, r),
+        "context-1d": lambda X, m, r: (X[:, 0], m, r),
+        "means-3d": lambda X, m, r: (X, m[None], r),
+    }
+
+    @pytest.mark.parametrize("cut", BAD.values(), ids=BAD.keys())
+    def test_batches_of_the_wrong_shape_raise(self, cut):
+        # epoch 1 is tau1 = 2 rounds; raised before anything is written
+        expected = (r"CutBatchEnv\.sample_batch returned contexts of shape .*; "
+                    r"expected contexts of shape \(2, 1\) and means and rewards of shape \(2, 2\)")
+        cfg = AlgorithmConfig(tau1=2, delta=0.05, horizon=256)
+        with pytest.raises(ValueError, match=expected):
+            run_safe_falcon(CutBatchEnv(cut), LinearPerArmOracle(2, 1), cfg, seed=0)

@@ -1,11 +1,13 @@
 """Golden outputs: sha256 fingerprints of known runs against ``golden.json``.
 
-The file holds the fingerprints of every file the four CI determinism
-configs write, and of one detecting library run, with the numpy and BLAS
-that made them. A deliberate change to a random stream or to an output's
-bits rewrites the file in the same commit, so its diff shows which outputs
-moved; ``PYTHONPATH=src python tests/test_golden.py`` rewrites it from the
-current tree.
+The file holds the fingerprints of every file the four determinism
+configs of ``CONFIGS`` write, and of one detecting library run, with the
+numpy and BLAS that made them. ``CONFIGS`` is the one list of those
+configs: CI runs this test under two hash seeds, so two processes must
+write the recorded bytes. A deliberate change to a random stream or to an
+output's bits rewrites the file in the same commit, so its diff shows which
+outputs moved; ``PYTHONPATH=src python tests/test_golden.py`` rewrites it
+from the current tree.
 """
 
 import hashlib
@@ -16,27 +18,24 @@ from pathlib import Path
 
 import numpy as np
 
-from safebandit import (
-    AlgorithmConfig,
-    LinearPerArmOracle,
-    RunTrace,
-    realizable_linear_env,
-    run_safe_falcon,
-)
+from safebandit import AlgorithmConfig, LinearPerArmOracle, RunTrace, run_safe_falcon
 from safebandit.cli import main
-from support import Edited
+from support import shifted_realizable_k5
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
-# the configs of CI's "Check run and compare outputs are byte-identical across
-# processes" step, each without its --out
+# the determinism configs, each without its --out
 CONFIGS = {
+    # 10000 rounds per run span several of the trace writer's row blocks
     "determinism": ["run", "--T", "10000", "--runs", "2", "--seed", "3", "--avg-epoch-test", "true"],
+    # five arms drawn from the linear model's arm-major values
     "realizable": ["run", "--env", "realizable-linear", "--env-k", "5", "--T", "10000", "--runs", "2",
                    "--seed", "3", "--avg-epoch-test", "true"],
+    # at 40000 rounds the last epochs hold more than 16384 rows each
     "compare-determinism": ["compare", "--a-algorithm", "safe-falcon", "--a-avg-epoch-test", "true",
                             "--a-T", "40000", "--a-runs", "2", "--b-algorithm", "falcon-plus",
                             "--b-T", "40000", "--b-runs", "2"],
+    # 200 arms: the trace's arm columns are int16, not int8
     "wide-arms": ["run", "--env", "lower-bound", "--env-k", "200", "--env-b", "0.001", "--T", "3000",
                   "--runs", "2"],
 }
@@ -64,10 +63,8 @@ def fingerprints(out: Path) -> dict:
         assert main([*argv, "--out", str(out / name)]) == 0
         for path in sorted((out / name).iterdir()):
             prints[f"{name}/{path.name}"] = _sha256(path.read_bytes())
-    # the shift case of test_algorithms.REFERENCE_CASES: detected in epoch 8,
-    # the rest of the run replayed on the fallback kernel
-    env = Edited(realizable_linear_env(5, 1, coefficient_seed=20210229),
-                 lambda t, x, m, r: (x, m - 5.0, r - 5.0) if t > 2048 else (x, m, r))
+    # the shift case of test_algorithms.REFERENCE_CASES
+    env = shifted_realizable_k5()
     cfg = AlgorithmConfig(tau1=64, delta=0.05, horizon=4400, enable_avg_epoch_test=True)
     trace = run_safe_falcon(env, LinearPerArmOracle(5, 1), cfg, seed=0)
     columns = [getattr(trace, f.name) for f in fields(RunTrace)]
@@ -77,20 +74,27 @@ def fingerprints(out: Path) -> dict:
     return prints
 
 
+def _record(outputs: dict) -> str:
+    """The golden file's text for ``outputs`` and this numpy build."""
+    return json.dumps({**_numpy_build(), "outputs": outputs}, indent=2) + "\n"
+
+
 def test_outputs_match_golden_fingerprints(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     got = fingerprints(tmp_path)
     moved = sorted(name for name in golden["outputs"].keys() | got.keys()
                    if golden["outputs"].get(name) != got.get(name))
     recorded = {key: golden[key] for key in ("numpy", "blas")}
-    assert not moved, (f"outputs moved: {', '.join(moved)}; "
-                       f"recorded with {recorded}, running {_numpy_build()}")
+    # the whole record, so a failing log settles whether another build
+    # needs a golden file of its own
+    assert not moved, (f"outputs moved: {', '.join(moved)}; recorded with {recorded}; "
+                       f"this run's record:\n{_record(got)}")
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as out:
-        record = {**_numpy_build(), "outputs": fingerprints(Path(out))}
-    GOLDEN.write_text(json.dumps(record, indent=2) + "\n")
+        text = _record(fingerprints(Path(out)))
+    GOLDEN.write_text(text)
     print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -104,6 +104,25 @@ class TestConfig:
         assert algo_cfg == AlgorithmConfig(4, 0.05, 64, False)
         assert isinstance(env, LowerBoundEnv) and env.K == 3
 
+    # a ConfigError before out is made, not a TypeError from deep in the run
+    # or, for runs=True, a one-run replication
+    NOT_INTEGERS = {
+        "runs-2.5": {"runs": 2.5},
+        "runs-True": {"runs": True},
+        "seed-1.5": {"seed": 1.5},
+        "lower-bound-env_k-2.5": {"env": "lower-bound", "env_k": 2.5},
+        "realizable-env_k-3.0": {"env": "realizable-linear", "env_k": 3.0},
+        "tau1-2.0": {"tau1": 2.0},
+        "T-64.0": {"horizon": 64.0},
+    }
+
+    @pytest.mark.parametrize("fields", NOT_INTEGERS.values(), ids=NOT_INTEGERS.keys())
+    def test_integer_fields_must_be_integers(self, fields, tmp_path):
+        out = tmp_path / "X"
+        with pytest.raises(ConfigError):
+            run_experiment(ExperimentConfig(**{"horizon": 64, "out": str(out), **fields}))
+        assert not out.exists()
+
     def test_build_environment(self):
         assert build_environment(ExperimentConfig(env="intro-example")).K == 2
         env = build_environment(ExperimentConfig(env="lower-bound", env_k=3, env_b=0.01))
