@@ -110,8 +110,9 @@ class LinearPerArmModel(OutcomeModel):
         else:
             # dim 0: no product to start from
             total = np.array(np.broadcast_to(intercept_column, self.intercepts.shape + X.shape[:-1]))
-        # in place: _clip is np.clip's ufunc, so the bits equal np.clip(total, 0, 1)
-        return _clip(total, _ZERO, _ONE, out=total).T
+        # in place, out positional (numpy 2 parses out= on every call): _clip
+        # is np.clip's ufunc, so the bits equal np.clip(total, 0, 1)
+        return _clip(total, _ZERO, _ONE, total).T
 
 
 # the largest epoch EpochSchedule takes: a run has at most 63 epochs, and

@@ -79,7 +79,11 @@ class _OneBody(BanditEnvironment):
     """A built-in environment. Its ``_draw(rng, lead)`` draws one round for
     lead ``()`` and n rounds for lead ``(n,)``, each array shaped ``lead``
     plus its own axis. A 1-d draw takes the same numbers from the generator
-    as a (1, .) draw, so a round has the bits of row 0 of a batch of one.
+    as a (1, .) draw, in the same order, so a round has the bits of row 0 of
+    a batch of one and leaves the generator where the batch would. It may
+    take them in fewer calls: ``RealizableLinearEnv`` draws a round's dim
+    context doubles and K noise doubles in one ``rng.random(dim + K)`` call,
+    where a batch of one makes two.
 
     Each built-in also has ``means_batch(X)``, which maps (n, dim) contexts
     to the (n, K) true means, and one (dim,) context to its (K,) means; it
@@ -161,7 +165,11 @@ class RealizableLinearEnv(_OneBody):
     The noise is drawn as ``rng.random``, multiplied in place by 0.2 and then
     added to -0.1, both as 0-d float64 constants. ``Generator.uniform(-0.1,
     0.1)`` computes ``low + (high - low) * next_double`` on the same doubles,
-    so the bits equal its draw, without its argument handling.
+    so the bits equal its draw, without its argument handling. One round
+    takes its context and noise uniforms in one ``rng.random(dim + K)``
+    call, as views of one array: the doubles, and their order, of
+    ``rng.random(dim)`` then ``rng.random(K)``. The in-place clip passes
+    its ``out`` positionally, which numpy 2 parses faster than ``out=``.
     """
 
     def __init__(self, intercepts, slopes):
@@ -175,14 +183,20 @@ class RealizableLinearEnv(_OneBody):
         return self._truth.values(X)
 
     def _draw(self, rng, lead):
-        X = rng.random(lead + (self.dim,))
+        if lead:
+            X = rng.random(lead + (self.dim,))
+            rewards = rng.random(lead + (self.K,))
+        else:
+            # one round: the dim then K doubles of a batch of one, in one call
+            u = rng.random(self.dim + self.K)
+            X, rewards = u[:self.dim], u[self.dim:]
         means = self.means_batch(X)
-        rewards = rng.random(lead + (self.K,))
         rewards *= _NOISE_WIDTH
         rewards += _NOISE_LOW
         rewards += means
-        # the ufunc ndarray.clip ends in, without its Python-level wrapper
-        return X, means, _clip(rewards, _ZERO, _ONE, out=rewards)
+        # the ufunc ndarray.clip ends in, without its Python-level wrapper;
+        # out passed positionally, which numpy 2 parses faster than out=
+        return X, means, _clip(rewards, _ZERO, _ONE, rewards)
 
 
 def realizable_linear_env(K: int, dim: int, coefficient_seed: int) -> RealizableLinearEnv:

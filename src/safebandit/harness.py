@@ -83,6 +83,9 @@ class ExperimentConfig:
             if _whole(self.seed) < 0:
                 raise ValueError("seed must be >= 0")
             _whole(self.env_k)
+            # a truthy string such as "false" would turn the test on
+            if not isinstance(self.avg_epoch_test, (bool, np.bool_)):
+                raise TypeError(f"avg_epoch_test must be a bool, not {self.avg_epoch_test!r}")
             if self.runs * self.horizon > ROUND_BUDGET:
                 raise ValueError("runs * T exceeds the round budget")
             algo_cfg = AlgorithmConfig(self.tau1, self.delta, self.horizon, self.avg_epoch_test)

@@ -123,6 +123,19 @@ class TestConfig:
             run_experiment(ExperimentConfig(**{"horizon": 64, "out": str(out), **fields}))
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["false", "true", "", 0, 1, 1.0, None, np.array(True)])
+    def test_avg_epoch_test_must_be_a_bool(self, value, tmp_path):
+        # "false" is truthy: taken as it is, it would turn the average test on
+        out = tmp_path / "X"
+        with pytest.raises(ConfigError, match="avg_epoch_test"):
+            run_experiment(ExperimentConfig(horizon=64, avg_epoch_test=value, out=str(out)))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+    def test_avg_epoch_test_takes_bools(self, value):
+        algo_cfg, _ = ExperimentConfig(horizon=64, avg_epoch_test=value).validate()
+        assert algo_cfg.enable_avg_epoch_test == value
+
     def test_build_environment(self):
         assert build_environment(ExperimentConfig(env="intro-example")).K == 2
         env = build_environment(ExperimentConfig(env="lower-bound", env_k=3, env_b=0.01))

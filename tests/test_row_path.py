@@ -2,8 +2,9 @@
 
 The references below are the samplers before a stateful round got cheaper:
 ``RealizableLinearEnv.sample_batch`` adding the noise into a new array and
-calling ``np.clip``, and the default ``sample_batch`` gathering the rows of
-``sample`` with ``zip`` and ``np.array``. Addition commutes and
+calling ``np.clip``, ``RealizableLinearEnv.sample`` drawing its context and
+its noise in two generator calls, and the default ``sample_batch`` gathering
+the rows of ``sample`` with ``zip`` and ``np.array``. Addition commutes and
 ``ndarray.clip`` calls the same ufunc as ``np.clip``, so the two must agree
 bit for bit: values, dtypes and the signs of zeros. (``test_kernel.py``
 holds the ``np.clip`` form of ``LinearPerArmModel.values``.)
@@ -29,6 +30,13 @@ def reference_realizable_sample_batch(env, rng, n):
     means = env.means_batch(X)
     noise = rng.uniform(-0.1, 0.1, (n, env.K))
     return X, means, np.clip(means + noise, 0.0, 1.0)
+
+
+def reference_realizable_sample(env, rng):
+    x = rng.random(env.dim)
+    means = env.means_batch(x)
+    noise = rng.uniform(-0.1, 0.1, env.K)
+    return x, means, np.clip(means + noise, 0.0, 1.0)
 
 
 def reference_default_sample_batch(env, rng, n):
@@ -73,6 +81,19 @@ def test_realizable_sample_batch_equals_reference(K, dim, seed, n):
     got = env.sample_batch(np.random.Generator(np.random.Philox(seed)), n)
     want = reference_realizable_sample_batch(env, np.random.Generator(np.random.Philox(seed)), n)
     assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=common["K"], dim=common["dim"], seed=common["seed"], rounds=st.integers(1, 5))
+def test_realizable_sample_equals_reference(K, dim, seed, rounds):
+    # one generator call per round against two: the same bits, round after
+    # round, and the generator left where the two calls leave it
+    env = RealizableLinearEnv(*coefficients(np.random.Generator(np.random.Philox(seed)), K, dim))
+    rng, ref_rng = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+    for _ in range(rounds):
+        got, want = env.sample(rng), reference_realizable_sample(env, ref_rng)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+    assert same_bits(rng.random(3), ref_rng.random(3))
 
 
 @settings(max_examples=30, deadline=None)
