@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LinearPerArmModel, OutcomeModel
+from .core import LinearPerArmModel, OutcomeModel, _whole
 
 
 class EstimationRate:
@@ -145,25 +145,63 @@ class RegressionOracle:
 class LinearPerArmOracle(RegressionOracle):
     """Ordinary least squares of reward on (1, context), separately per arm.
 
-    Arms with no samples predict 0.5; a design of rank below dim + 1 (as any
-    with no more samples than context dims has) falls back to an
-    intercept-only fit: the mean reward, with zero slopes.
+    Arms with no samples predict 0.5; an arm with at most dim samples, or a
+    design of rank below dim + 1, falls back to an intercept-only fit: the
+    mean reward, with zero slopes. With dim 0 every arm with samples takes
+    its mean.
 
-    Raises ValueError unless the actions are integers in 0..K-1, one per
-    reward, and every context and reward is finite: a NaN reward would make
-    its arm's coefficients NaN, and every later draw would play arm 0.
+    The fit works from each arm's centred moments: its row count m, the
+    means x̄ and r̄, the centred Gram G = Σ(x - x̄)(x - x̄)ᵀ and the cross
+    sums c = Σ(x - x̄)(r - r̄). Each arm's rows are centred on its own means
+    before any product is formed, so contexts far from zero keep their
+    digits. The dim x dim system G β = c is solved by Gaussian elimination
+    in order, in Python floats; the intercept is r̄ - β · x̄. Every sum is
+    numpy's add reduction over one arm's rows, so the fitted bits rest on
+    no BLAS or LAPACK call.
+
+    Rank rule: with k = max(m, dim + 1) and ε the float64 machine epsilon,
+    the design counts as rank deficient when some pivot of the elimination,
+    G_jj after the columns before j are eliminated, is not above
+
+        max((ε k)² (m + Σ|x|²),  16 ε k G_jj⁽⁰⁾),
+
+    where m + Σ|x|² is the squared Frobenius norm of the design (1, x)
+    and G_jj⁽⁰⁾ is the centred diagonal before elimination. The first term
+    bounds the square of lstsq's default cut, ε k times the largest
+    singular value, from above; it catches a column that is constant up to
+    the rounding of its mean (contexts that all equal 0.1 centre on 0.1's
+    rounded mean, and their tiny centred Gram is noise). The second
+    catches a column that the elimination cancels to rounding noise, such
+    as a context dim that is an exact multiple of another. The rule
+    reproduces lstsq's fallback decisions on repeated and collinear
+    contexts and on designs well within rank. Between the two it is more
+    cautious: a dim whose pivot keeps no more than 16 ε k of its centred
+    diagonal, nearly but not exactly collinear with the dims before it,
+    takes the arm to its mean where lstsq's far smaller cut would fit.
+
+    K must be an integer >= 1 and dim an integer >= 0 (TypeError for a
+    bool or another non-integer, ValueError below the range). ``fit``
+    raises ValueError unless the contexts are (n, dim), or (n,) with dim 1,
+    the actions are integers in 0..K-1, one per reward, and every context
+    and reward is finite: a NaN reward would make its arm's coefficients
+    NaN, and every later draw would play arm 0.
     """
 
     def __init__(self, K: int, dim: int = 1):
-        self.K = K
-        self.dim = dim
+        self.K = _whole(K)
+        self.dim = _whole(dim)
+        if self.K < 1:
+            raise ValueError(f"K must be >= 1, got {self.K}")
+        if self.dim < 0:
+            raise ValueError(f"dim must be >= 0, got {self.dim}")
         self.rate = LinearChiSquaredRate()
 
     def fit(self, data: Dataset) -> LinearPerArmModel:
         n_rows = len(data)
         if n_rows == 0:
             raise ValueError("cannot fit on an empty dataset")
-        xs = np.asarray(data.contexts, dtype=float).reshape(n_rows, self.dim)
+        dim = self.dim
+        xs = np.asarray(data.contexts, dtype=float)
         arms = np.asarray(data.actions)
         rewards = np.asarray(data.rewards, dtype=float)
         if arms.ndim != 1 or rewards.shape != arms.shape:
@@ -171,33 +209,79 @@ class LinearPerArmOracle(RegressionOracle):
                 f"expected one reward per action, got {rewards.shape} rewards "
                 f"for {arms.shape} actions"
             )
+        if xs.shape != (n_rows, dim) and not (dim == 1 and xs.shape == (n_rows,)):
+            raise ValueError(f"expected contexts of shape ({n_rows}, {dim}), got {xs.shape}")
         if arms.dtype.kind not in "iu":
             raise ValueError(f"actions must be integers, not {arms.dtype}")
         if arms.min() < 0 or arms.max() >= self.K:
             raise ValueError(f"actions must lie in 0..{self.K - 1}")
-        # before lstsq, which fails on them only after LAPACK writes to stderr
-        if not np.isfinite(xs).all():
-            raise ValueError("contexts must be finite")
-        if not np.isfinite(rewards).all():
+        # one row per context dim, then the rewards: an arm's rows come out
+        # of one take, and each of its moments is a reduction along a row
+        columns = np.empty((dim + 1, n_rows))
+        columns[:dim] = xs.T
+        columns[dim] = rewards
+        if not np.isfinite(columns).all():
+            if not np.isfinite(columns[:dim]).all():
+                raise ValueError("contexts must be finite")
             raise ValueError("rewards must be finite")
 
         intercepts = np.full(self.K, 0.5)
-        slopes = np.zeros((self.K, self.dim))
+        slopes = np.zeros((self.K, dim))
         for a in range(self.K):
-            # the arm's rows by index: cheaper than a boolean mask per column
-            rows = np.flatnonzero(arms == a)
-            if len(rows) == 0:
+            # the arm's rows by index, then its block in one take
+            rows = (arms == a).nonzero()[0]
+            m = len(rows)
+            if m == 0:
                 continue
-            ra = rewards.take(rows)
-            # n <= dim rows: the rank is below dim + 1 for certain
-            if len(rows) > self.dim:
-                design = np.empty((len(rows), self.dim + 1))
-                design[:, 0] = 1.0
-                design[:, 1:] = xs.take(rows, axis=0)
-                coef, _, rank, _ = np.linalg.lstsq(design, ra, rcond=None)
-                if rank == self.dim + 1:
-                    intercepts[a] = coef[0]
-                    slopes[a] = coef[1:]
-                    continue
-            intercepts[a] = ra.mean()
+            block = columns.take(rows, axis=1)
+            means = np.add.reduce(block, axis=1) / m
+            # m <= dim rows: the rank is below dim + 1 for certain
+            coef = _centred_ols(block, means) if m > dim else None
+            if coef is None:
+                intercepts[a] = means[dim]
+            else:
+                intercepts[a], slopes[a] = coef
         return LinearPerArmModel(intercepts, slopes)
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _centred_ols(block: np.ndarray, means: np.ndarray):
+    """(intercept, slopes) of one arm from ``block``, its (dim + 1, m)
+    contexts and rewards by row, and their row means; None when the design
+    fails the rank rule (``LinearPerArmOracle``'s docstring). Centres
+    ``block`` in place."""
+    dim, m = len(block) - 1, block.shape[1]
+    block -= means[:, None]
+    # row i: the centred Gram's row i, then the cross sum of context dim i
+    moments = np.add.reduce(block[:dim, None] * block, axis=2).tolist()
+    means = means.tolist()
+
+    k = max(m, dim + 1)
+    diagonal = [moments[d][d] for d in range(dim)]
+    # the design's squared Frobenius norm m + Σ|x|², from the moments
+    norm2 = m
+    for d in range(dim):
+        norm2 += diagonal[d] + m * means[d] ** 2
+    floor = (_EPS * k) ** 2 * norm2
+    # Gaussian elimination in order on the augmented rows [G | c]
+    for j in range(dim):
+        pivot = moments[j][j]
+        # not above: also a NaN pivot, from contexts whose squares overflow
+        if not pivot > max(floor, 16.0 * _EPS * k * diagonal[j]):
+            return None
+        for i in range(j + 1, dim):
+            f = moments[i][j] / pivot
+            for col in range(j + 1, dim + 1):
+                moments[i][col] -= f * moments[j][col]
+    slopes = [0.0] * dim
+    for j in reversed(range(dim)):
+        s = moments[j][dim]
+        for col in range(j + 1, dim):
+            s -= moments[j][col] * slopes[col]
+        slopes[j] = s / moments[j][j]
+    intercept = means[dim]
+    for d in range(dim):
+        intercept -= slopes[d] * means[d]
+    return intercept, slopes

@@ -1,6 +1,7 @@
 """Unit and integration tests for FALCON+ / Safe-FALCON internals."""
 
 import dataclasses
+import inspect
 import math
 import tracemalloc
 
@@ -767,6 +768,32 @@ def _realizable_k9_dim9():
 
 def _lower_bound_k200():
     return LowerBoundEnv(200, 0.001)
+
+
+@pytest.mark.parametrize(
+    "make_env",
+    [_intro, _realizable_k3_dim2, lambda: LowerBoundEnv(3, 1 / 6)],
+    ids=["intro-example", "realizable-linear-dim2", "lower-bound-k3"],
+)
+@pytest.mark.parametrize("run", [run_safe_falcon, run_falcon_plus], ids=["safe-falcon", "falcon-plus"])
+def test_a_run_makes_no_lapack_call(make_env, run, monkeypatch):
+    """The fits rest on numpy's add reductions alone, so a run's bits do not
+    depend on the LAPACK behind numpy: every public numpy.linalg function
+    raises while both algorithms play."""
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("numpy.linalg was called during a run")
+
+    for name in np.linalg.__all__:
+        # LinAlgError is the one class
+        if not inspect.isclass(getattr(np.linalg, name)):
+            monkeypatch.setattr(np.linalg, name, no_lapack)
+    with pytest.raises(AssertionError, match="numpy.linalg was called"):
+        np.linalg.lstsq(np.eye(2), np.ones(2))
+    env = make_env()
+    cfg = AlgorithmConfig(tau1=2, delta=0.05, horizon=1024, enable_avg_epoch_test=True)
+    trace = run(env, LinearPerArmOracle(env.K, env.dim), cfg, seed=3)
+    assert len(trace.actions) == 1024
 
 
 # (id, env factory, tau1, T, avg test, Safe-FALCON?, expected detection round)
