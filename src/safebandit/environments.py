@@ -83,7 +83,8 @@ class _OneBody(BanditEnvironment):
     a batch of one and leaves the generator where the batch would. It may
     take them in fewer calls: ``RealizableLinearEnv`` draws a round's dim
     context doubles and K noise doubles in one ``rng.random(dim + K)`` call,
-    where a batch of one makes two.
+    and ``TabularEnv`` its context double and K reward doubles in one
+    ``rng.random(1 + K)`` call, where a batch of one makes two.
 
     Each built-in also has ``means_batch(X)``, which maps (n, dim) contexts
     to the (n, K) true means, and one (dim,) context to its (K,) means; it
@@ -216,6 +217,10 @@ def realizable_linear_env(K: int, dim: int, coefficient_seed: int) -> Realizable
 class TabularEnv(_OneBody):
     """Small finite instance for brute-force checks: integer contexts, an
     explicit table of true means, Bernoulli rewards.
+
+    One round takes its context uniform and its K reward uniforms in one
+    ``rng.random(1 + K)`` call: the doubles, and their order, of
+    ``rng.random(())`` then ``rng.random(K)``.
     """
 
     def __init__(self, table, context_probs=None):
@@ -241,7 +246,15 @@ class TabularEnv(_OneBody):
         return self.table.take(np.asarray(X)[..., 0].astype(int), axis=0)
 
     def _draw(self, rng, lead):
-        i = np.minimum(np.searchsorted(self._cum, rng.random(lead)), self.n_contexts - 1)
+        if lead:
+            u = rng.random(lead)
+            uniforms = rng.random(lead + (self.K,))
+        else:
+            # one round: the context's double then the K rewards' doubles of
+            # a batch of one, in one call; u is a 0-d view, as random(()) gives
+            both = rng.random(1 + self.K)
+            u, uniforms = both[:1].reshape(()), both[1:]
+        i = np.minimum(np.searchsorted(self._cum, u), self.n_contexts - 1)
         means = self.means_batch(i[..., None])
-        rewards = (rng.random(lead + (self.K,)) < means).astype(float)
+        rewards = (uniforms < means).astype(float)
         return i[..., None].astype(float), means, rewards

@@ -13,6 +13,7 @@ from .algorithms import AlgorithmConfig, run_falcon_plus, run_safe_falcon
 from .analysis import aggregate_runs, epoch_summaries
 from .core import _whole
 from .environments import BanditEnvironment, IntroExampleEnv, LowerBoundEnv, realizable_linear_env
+from .floatrepr import float_fields, int_fields
 from .oracle import LinearPerArmOracle
 
 ALGORITHMS = ("safe-falcon", "falcon-plus")
@@ -184,64 +185,62 @@ def run_replications(cfg: ExperimentConfig):
 TRACE_BLOCK_ROWS = 4096
 
 
-def _format_repeated(col, fmt):
-    """``fmt`` of each entry of a column with few distinct values: called
-    once per distinct value and gathered back into row order. Floats are
-    told apart by their bits, so -0.0 and 0.0 (and NaN payloads) keep their
-    own ``repr``."""
-    floats = col.dtype == np.float64
-    distinct, inverse = np.unique(col.view(np.int64) if floats else col, return_inverse=True)
-    if floats:
-        distinct = distinct.view(np.float64)
-    table = np.array(list(map(fmt, distinct.tolist())), dtype=object)
-    return table[inverse].tolist()
+def _write_trace_block(fh, prefix: bytes, lo: int, block):
+    """Rows lo + 1 .. lo + len(block) of one run, laid out as one uint8
+    matrix, a row per round: each field right-aligned in its own columns
+    with NULs before it (``floatrepr``), the separators and the run prefix
+    as constant columns:
 
+        run_id, | t | , | epoch | , | ctx_0 | ; | ctx_1 ... | , | action | ,
+        | reward | , | optimal_arm | , | optimal_mean | , | regret | , | safe
+        | , | m_hat | \\r\\n
 
-def _write_trace_block(fh, prefix: str, lo: int, block):
-    """Rows lo + 1 .. lo + len(block) of one run. Each column is formatted
-    as a whole and carries the separators around it, so a row is the plain
-    concatenation of its pieces:
-
-        run_id, | t | ,epoch, | ctx_0 | ; | ctx_1 ... | ,action, | reward |
-        ,optimal_arm, | optimal_mean, | regret, | safe,m_hat\\r\\n
-
-    Columns with few distinct values are formatted once per value."""
+    The rows are the matrix's bytes with its NULs dropped. The floats of
+    the block are formatted in one call; of the regrets only those other
+    than +0.0 (the optimal arm's rounds give 0.0), and of the optimal means
+    only the distinct ones, told apart by their bits."""
     n, dim = block.contexts.shape
-    # ctx_d sits at 3 + 2d, so the action piece follows the last context
-    # piece, or the epoch piece when there is none: the row then reads
-    # epoch,,action, an empty context field
-    k = max(2 * dim + 2, 3)
-    width = k + 6  # pieces per row
-    # every slot not assigned below is a ';' between context dims
-    parts = [";"] * (n * width)
-    parts[0::width] = [prefix] * n
-    parts[1::width] = map(str, range(lo + 1, lo + n + 1))
-    parts[2::width] = _format_repeated(block.epoch, ",{},".format)
-    for d in range(dim):
-        parts[3 + 2 * d :: width] = map(repr, block.contexts[:, d].tolist())
-    parts[k::width] = _format_repeated(block.actions, ",{},".format)
-    parts[k + 1 :: width] = map(repr, block.rewards.tolist())
-    parts[k + 2 :: width] = _format_repeated(block.optimal_arms, ",{},".format)
-    parts[k + 3 :: width] = _format_repeated(block.optimal_means, "{!r},".format)
-    parts[k + 4 :: width] = _format_repeated(block.realized_regret, "{!r},".format)
-    # safe and m_hat fused into one key: 2 * m_hat + safe, widened first so
-    # a narrow m_hat column cannot wrap
-    parts[k + 5 :: width] = _format_repeated(
-        2 * block.m_hat.astype(np.int64) + block.safe, lambda key: f"{key & 1},{key >> 1}\r\n"
+    regret = block.realized_regret
+    nonzero = np.flatnonzero(regret.view(np.uint64))
+    means, inverse = np.unique(block.optimal_means.view(np.int64), return_inverse=True)
+    floats = float_fields(
+        np.concatenate([block.contexts.T.reshape(-1), block.rewards, regret[nonzero], means.view(np.float64)])
     )
-    fh.write("".join(parts))
+    *contexts, rewards, nonzero_regrets, means = np.split(floats, np.cumsum([n] * (dim + 1) + [len(nonzero)]))
+    regrets = np.zeros((n, floats.shape[1]), dtype=np.uint8)
+    regrets[:, -3:] = np.frombuffer(b"0.0", dtype=np.uint8)
+    regrets[nonzero] = nonzero_regrets
+    # the distinct means' rows, trimmed to the longest of them
+    means = means[:, np.argmax(means.any(axis=0)) :]
+    fields = [prefix, int_fields(np.arange(lo + 1, lo + n + 1)), b",", int_fields(block.epoch), b","]
+    for d, column in enumerate(contexts):
+        fields += [b";"] * (d > 0) + [column]
+    fields += [
+        b",", int_fields(block.actions), b",", rewards,
+        b",", int_fields(block.optimal_arms), b",", means[inverse],
+        b",", regrets, b",", block.safe.view(np.uint8)[:, None] + np.uint8(ord("0")),
+        b",", int_fields(block.m_hat), b"\r\n",
+    ]
+    widths = [len(f) if isinstance(f, bytes) else f.shape[1] for f in fields]
+    rows = np.empty((n, sum(widths)), dtype=np.uint8)
+    at = 0
+    for field, width in zip(fields, widths):
+        rows[:, at : at + width] = np.frombuffer(field, dtype=np.uint8) if isinstance(field, bytes) else field
+        at += width
+    rows = rows.reshape(-1)
+    fh.write(rows[rows != 0])
 
 
 def write_trace_csv(path: str, traces):
     """One row per (run, round), in the csv module's excel dialect: no field
     can hold a comma or a quote, so none is quoted, and rows end in \\r\\n.
-    Floats are written with ``repr``."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_HEADER) + "\r\n")
+    Floats are written as ``repr`` writes them (``floatrepr``)."""
+    with open(path, "wb") as fh:
+        fh.write(",".join(TRACE_HEADER).encode() + b"\r\n")
         for run_id, trace in enumerate(traces):
             for lo in range(0, len(trace), TRACE_BLOCK_ROWS):
                 block = trace.rows(lo, lo + TRACE_BLOCK_ROWS)
-                _write_trace_block(fh, f"{run_id},", lo, block)
+                _write_trace_block(fh, b"%d," % run_id, lo, block)
 
 
 def _epoch_rows(per_run, aggregate):

@@ -197,18 +197,19 @@ class LinearPerArmOracle(RegressionOracle):
         self.rate = LinearChiSquaredRate()
 
     def fit(self, data: Dataset) -> LinearPerArmModel:
-        n_rows = len(data)
-        if n_rows == 0:
-            raise ValueError("cannot fit on an empty dataset")
         dim = self.dim
         xs = np.asarray(data.contexts, dtype=float)
         arms = np.asarray(data.actions)
         rewards = np.asarray(data.rewards, dtype=float)
+        # the shapes first: a 0-d array has no length to take
         if arms.ndim != 1 or rewards.shape != arms.shape:
             raise ValueError(
                 f"expected one reward per action, got {rewards.shape} rewards "
                 f"for {arms.shape} actions"
             )
+        n_rows = len(arms)
+        if n_rows == 0:
+            raise ValueError("cannot fit on an empty dataset")
         if xs.shape != (n_rows, dim) and not (dim == 1 and xs.shape == (n_rows,)):
             raise ValueError(f"expected contexts of shape ({n_rows}, {dim}), got {xs.shape}")
         if arms.dtype.kind not in "iu":

@@ -165,6 +165,23 @@ class TestTabularEnv:
         np.testing.assert_allclose(sums / counts[:, None], env.table, atol=0.02)
 
 
+    def test_one_round_takes_the_doubles_of_two_calls_in_one(self):
+        # the context's uniform and the K reward uniforms: one random(1 + K)
+        # call gives the doubles of random(()) then random(K), and leaves
+        # the generator in the same state
+        env = TabularEnv([[0.2, 0.8, 0.5], [0.6, 0.4, 0.1]], context_probs=[0.3, 0.7])
+        for seed in range(20):
+            one, two = _rng(seed), _rng(seed)
+            x, means, rewards = env.sample(one)
+            u, uniforms = two.random(()), two.random(env.K)
+            i = min(int(np.searchsorted(env._cum, u)), env.n_contexts - 1)
+            assert same_bits(x, np.array([float(i)]))
+            assert same_bits(means, env.table[i])
+            assert same_bits(rewards, (uniforms < env.table[i]).astype(float))
+            # Philox's state holds small arrays, printed in full
+            assert repr(one.bit_generator.state) == repr(two.bit_generator.state)
+
+
 BUILT_IN_ENVIRONMENTS = [
     IntroExampleEnv(),
     LowerBoundEnv(3, 0.05),

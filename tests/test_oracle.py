@@ -194,6 +194,12 @@ class TestLinearPerArmOracle:
         with pytest.raises(ValueError, match="integers"):
             LinearPerArmOracle(K=2, dim=1).fit(data)
 
+    def test_zero_dimensional_actions_raise_value_error(self):
+        # judged by shape before any length is taken: no TypeError from len()
+        data = Dataset(np.zeros((1, 1)), np.int64(0), np.zeros(1))
+        with pytest.raises(ValueError, match="one reward per action"):
+            LinearPerArmOracle(K=2, dim=1).fit(data)
+
     @pytest.mark.parametrize("n_rewards", [2, 4])
     def test_rewards_of_another_length_raise(self, n_rewards):
         data = Dataset(np.zeros((3, 1)), np.array([0, 1, 0]), np.zeros(n_rewards))
