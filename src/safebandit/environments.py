@@ -25,6 +25,12 @@ class BanditEnvironment:
     the only sampler the engine calls; or, when a round depends on the rounds
     before it, it overrides ``sample``, and the default ``sample_batch``
     calls it once per round, in order.
+
+    The built-ins are batch environments: one round is row 0 of
+    ``sample_batch(rng, 1)``. Each also has ``means_batch(X)``, which maps
+    (n, dim) contexts to the (n, K) true means, and one (dim,) context to its
+    (K,) means; it may return a batch's means as the transposed view of an
+    arm-major (K, n) array.
     """
 
     K: int
@@ -75,30 +81,7 @@ def _check_batch(env, n, X, means, rewards):
         )
 
 
-class _OneBody(BanditEnvironment):
-    """A built-in environment. Its ``_draw(rng, lead)`` draws one round for
-    lead ``()`` and n rounds for lead ``(n,)``, each array shaped ``lead``
-    plus its own axis. A 1-d draw takes the same numbers from the generator
-    as a (1, .) draw, in the same order, so a round has the bits of row 0 of
-    a batch of one and leaves the generator where the batch would. It may
-    take them in fewer calls: ``RealizableLinearEnv`` draws a round's dim
-    context doubles and K noise doubles in one ``rng.random(dim + K)`` call,
-    and ``TabularEnv`` its context double and K reward doubles in one
-    ``rng.random(1 + K)`` call, where a batch of one makes two.
-
-    Each built-in also has ``means_batch(X)``, which maps (n, dim) contexts
-    to the (n, K) true means, and one (dim,) context to its (K,) means; it
-    may return a batch's means as the transposed view of an arm-major
-    (K, n) array."""
-
-    def sample(self, rng):
-        return self._draw(rng, ())
-
-    def sample_batch(self, rng, n):
-        return self._draw(rng, (n,))
-
-
-class IntroExampleEnv(_OneBody):
+class IntroExampleEnv(BanditEnvironment):
     """Two arms, x ~ Uniform[0,1]: a step arm paying 1{x > 0.5} and a flat
     arm paying 0.5, with independent N(0,1) noise added to each arm's reward.
 
@@ -118,15 +101,15 @@ class IntroExampleEnv(_OneBody):
         means[1] = 0.5
         return means.T
 
-    def _draw(self, rng, lead):
-        X = rng.random(lead + (1,))
+    def sample_batch(self, rng, n):
+        X = rng.random((n, 1))
         means = self.means_batch(X)
-        rewards = rng.standard_normal(lead + (2,))
+        rewards = rng.standard_normal((n, 2))
         rewards += means
         return X, means, rewards
 
 
-class LowerBoundEnv(_OneBody):
+class LowerBoundEnv(BanditEnvironment):
     """Hard instance for context-blind kernels: X = (0, K) uniform, arm a
     pays alpha on its own unit interval (a, a+1] (0-indexed) and 0 elsewhere,
     with noiseless rewards and alpha = sqrt(K^2 B / (K-1)).
@@ -153,24 +136,31 @@ class LowerBoundEnv(_OneBody):
         np.put_along_axis(means, arm[..., None], self.alpha, axis=-1)
         return means
 
-    def _draw(self, rng, lead):
-        X = rng.random(lead + (1,)) * self.K
+    def sample_batch(self, rng, n):
+        X = rng.random((n, 1)) * self.K
         means = self.means_batch(X)
         return X, means, means.copy()
 
 
-class RealizableLinearEnv(_OneBody):
+class RealizableLinearEnv(BanditEnvironment):
     """Control condition: per-arm affine true means, so the linear oracle's
     class contains f*. Rewards are mean + Uniform(-0.1, 0.1), clipped to [0,1].
 
     The noise is drawn as ``rng.random``, multiplied in place by 0.2 and then
     added to -0.1, both as 0-d float64 constants. ``Generator.uniform(-0.1,
     0.1)`` computes ``low + (high - low) * next_double`` on the same doubles,
-    so the bits equal its draw, without its argument handling. One round
-    takes its context and noise uniforms in one ``rng.random(dim + K)``
-    call, as views of one array: the doubles, and their order, of
-    ``rng.random(dim)`` then ``rng.random(K)``. The in-place clip passes
-    its ``out`` positionally, which numpy 2 parses faster than ``out=``.
+    so the bits equal its draw, without its argument handling. The in-place
+    clip passes its ``out`` positionally, which numpy 2 parses faster than
+    ``out=``.
+
+    It alone of the built-ins also draws one round, ``sample(rng)``, since the
+    benchmark's stateful shift-fallback workload wraps it a row at a time;
+    ROADMAP item 2 removes it together with the default per-row
+    ``sample_batch``. ``_draw(rng, lead)`` draws one round for lead ``()`` and
+    n rounds for lead ``(n,)``. A round has the bits of row 0 of a batch of
+    one and leaves the generator where the batch would, though it takes its
+    dim context and K noise uniforms in one ``rng.random(dim + K)`` call,
+    where a batch makes two.
     """
 
     def __init__(self, intercepts, slopes):
@@ -199,6 +189,12 @@ class RealizableLinearEnv(_OneBody):
         # out passed positionally, which numpy 2 parses faster than out=
         return X, means, _clip(rewards, _ZERO, _ONE, rewards)
 
+    def sample(self, rng):
+        return self._draw(rng, ())
+
+    def sample_batch(self, rng, n):
+        return self._draw(rng, (n,))
+
 
 def realizable_linear_env(K: int, dim: int, coefficient_seed: int) -> RealizableLinearEnv:
     """Draw a realizable environment with means guaranteed inside [0.1, 0.9]."""
@@ -214,13 +210,9 @@ def realizable_linear_env(K: int, dim: int, coefficient_seed: int) -> Realizable
     return RealizableLinearEnv(intercepts, slopes)
 
 
-class TabularEnv(_OneBody):
+class TabularEnv(BanditEnvironment):
     """Small finite instance for brute-force checks: integer contexts, an
     explicit table of true means, Bernoulli rewards.
-
-    One round takes its context uniform and its K reward uniforms in one
-    ``rng.random(1 + K)`` call: the doubles, and their order, of
-    ``rng.random(())`` then ``rng.random(K)``.
     """
 
     def __init__(self, table, context_probs=None):
@@ -245,16 +237,10 @@ class TabularEnv(_OneBody):
         # take copies the rows even for one context, whose index is 0-d
         return self.table.take(np.asarray(X)[..., 0].astype(int), axis=0)
 
-    def _draw(self, rng, lead):
-        if lead:
-            u = rng.random(lead)
-            uniforms = rng.random(lead + (self.K,))
-        else:
-            # one round: the context's double then the K rewards' doubles of
-            # a batch of one, in one call; u is a 0-d view, as random(()) gives
-            both = rng.random(1 + self.K)
-            u, uniforms = both[:1].reshape(()), both[1:]
+    def sample_batch(self, rng, n):
+        u = rng.random(n)
+        uniforms = rng.random((n, self.K))
         i = np.minimum(np.searchsorted(self._cum, u), self.n_contexts - 1)
-        means = self.means_batch(i[..., None])
+        means = self.means_batch(i[:, None])
         rewards = (uniforms < means).astype(float)
-        return i[..., None].astype(float), means, rewards
+        return i[:, None].astype(float), means, rewards

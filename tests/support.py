@@ -11,6 +11,11 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def batch_of_one(env):
+    """``env``'s rounds as row 0 of a batch of one."""
+    return lambda rng: tuple(a[0] for a in env.sample_batch(rng, 1))
+
+
 def coefficients(rng, K, dim):
     """Means that leave [0, 1] on both sides, some zero terms negative."""
     intercepts = rng.uniform(-0.5, 1.5, K)

@@ -216,7 +216,8 @@ def reference_aggregate_runs(per_run):
     return np.array(epochs), np.array(mean), np.array(ci_low), np.array(ci_high)
 
 
-def same_bits(a, b):
+def same_float_bits(a, b):
+    """Equal shapes and equal bytes once both are cast to float64; dtypes may differ."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.astype(float).tobytes() == b.astype(float).tobytes()
 
@@ -237,7 +238,7 @@ class TestEpochSummaries:
         # at the horizon, not at an epoch boundary
         assert d is not None and trace.epoch[d - 1] == trace.epoch[d]
         got, want = epoch_summaries(trace), mask_epoch_summaries(trace)
-        assert all(same_bits(a, b) for a, b in zip(got, want))
+        assert all(same_float_bits(a, b) for a, b in zip(got, want))
 
     def test_counts_and_bounds(self):
         env = realizable_linear_env(2, dim=1, coefficient_seed=3)
@@ -259,7 +260,7 @@ class TestEpochSummaries:
             for seed in range(runs)
         ]
         got, want = aggregate_runs(per_run), reference_aggregate_runs(per_run)
-        assert all(same_bits(a, b) for a, b in zip(got, want))
+        assert all(same_float_bits(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("runs", [1, 2, 8, 9, 130])
     def test_aggregate_equals_reference_on_wide_values(self, runs):
@@ -268,7 +269,7 @@ class TestEpochSummaries:
         vals[rng.random((runs, 6)) < 0.1] = -0.0
         per_run = [summaries(range(1, 7), v) for v in vals]
         got, want = aggregate_runs(per_run), reference_aggregate_runs(per_run)
-        assert all(same_bits(a, b) for a, b in zip(got, want))
+        assert all(same_float_bits(a, b) for a, b in zip(got, want))
 
     def test_constant_regret_aggregation(self):
         epochs, mean, ci_low, ci_high = aggregate_runs([summaries([1, 2, 3], [0.1] * 3)])

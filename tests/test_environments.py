@@ -18,7 +18,7 @@ from safebandit import (
     realizable_linear_env,
     run_safe_falcon,
 )
-from support import coefficients, same_bits
+from support import batch_of_one, coefficients, same_bits
 
 
 def _rng(seed=0):
@@ -33,9 +33,9 @@ class TestIntroExampleEnv:
 
     def test_monte_carlo_means(self):
         env = IntroExampleEnv()
-        rng = _rng(1)
+        rng, draw = _rng(1), batch_of_one(env)
         n = 20_000
-        rewards = np.array([env.sample(rng)[2] for _ in range(n)])
+        rewards = np.array([draw(rng)[2] for _ in range(n)])
         # arm 0 mean = P(x > 0.5) = 0.5; arm 1 mean = 0.5; noise sd = 1
         se = 3.0 * math.sqrt((1.0 + 0.25) / n)
         assert abs(rewards[:, 0].mean() - 0.5) < se
@@ -61,18 +61,18 @@ class TestLowerBoundEnv:
 
     def test_noiseless(self):
         env = LowerBoundEnv(3, 0.05)
-        rng = _rng(3)
+        rng, draw = _rng(3), batch_of_one(env)
         for _ in range(100):
-            x, means, rewards = env.sample(rng)
+            x, means, rewards = draw(rng)
             np.testing.assert_array_equal(means, rewards)
             assert 0.0 < float(x[0]) < 3.0
             assert np.count_nonzero(means) == 1
 
     def test_monte_carlo_variance(self):
         env = LowerBoundEnv(2, 1.0 / 16)
-        rng = _rng(4)
+        rng, draw = _rng(4), batch_of_one(env)
         n = 20_000
-        vals = np.array([env.sample(rng)[1][0] for _ in range(n)])
+        vals = np.array([draw(rng)[1][0] for _ in range(n)])
         assert abs(vals.var() - env.B) < 5e-3
 
     def test_invalid_parameters(self):
@@ -151,35 +151,18 @@ class TestTabularEnv:
 
     def test_monte_carlo_means(self):
         env = TabularEnv([[0.2, 0.8], [0.6, 0.4]], context_probs=[0.3, 0.7])
-        rng = _rng(6)
+        rng, draw = _rng(6), batch_of_one(env)
         n = 30_000
         counts = np.zeros(2)
         sums = np.zeros((2, 2))
         for _ in range(n):
-            x, means, rewards = env.sample(rng)
+            x, means, rewards = draw(rng)
             i = int(x[0])
             assert set(np.unique(rewards)) <= {0.0, 1.0}
             counts[i] += 1
             sums[i] += rewards
         np.testing.assert_allclose(counts / n, [0.3, 0.7], atol=0.02)
         np.testing.assert_allclose(sums / counts[:, None], env.table, atol=0.02)
-
-
-    def test_one_round_takes_the_doubles_of_two_calls_in_one(self):
-        # the context's uniform and the K reward uniforms: one random(1 + K)
-        # call gives the doubles of random(()) then random(K), and leaves
-        # the generator in the same state
-        env = TabularEnv([[0.2, 0.8, 0.5], [0.6, 0.4, 0.1]], context_probs=[0.3, 0.7])
-        for seed in range(20):
-            one, two = _rng(seed), _rng(seed)
-            x, means, rewards = env.sample(one)
-            u, uniforms = two.random(()), two.random(env.K)
-            i = min(int(np.searchsorted(env._cum, u)), env.n_contexts - 1)
-            assert same_bits(x, np.array([float(i)]))
-            assert same_bits(means, env.table[i])
-            assert same_bits(rewards, (uniforms < env.table[i]).astype(float))
-            # Philox's state holds small arrays, printed in full
-            assert repr(one.bit_generator.state) == repr(two.bit_generator.state)
 
 
 BUILT_IN_ENVIRONMENTS = [
@@ -190,14 +173,19 @@ BUILT_IN_ENVIRONMENTS = [
 ]
 
 
+# the built-ins that draw only in batches: all but RealizableLinearEnv
+BATCH_ONLY_ENVIRONMENTS = [e for e in BUILT_IN_ENVIRONMENTS if not isinstance(e, RealizableLinearEnv)]
+
 # built-ins, then realizable environments with -0.0 intercepts and means
 # outside [0, 1] on both sides
-ONE_BODY_ENVIRONMENTS = [pytest.param(e, id=type(e).__name__) for e in BUILT_IN_ENVIRONMENTS] + [
+ENVIRONMENTS = [pytest.param(e, id=type(e).__name__) for e in BUILT_IN_ENVIRONMENTS] + [
     pytest.param(
         RealizableLinearEnv(*coefficients(_rng(seed), K, dim)), id=f"clipped-K{K}-dim{dim}"
     )
     for seed, K, dim in ((29, 2, 1), (0, 5, 3), (2, 3, 9))
 ]
+# those that also draw one round
+ONE_ROUND_ENVIRONMENTS = [p for p in ENVIRONMENTS if isinstance(p.values[0], RealizableLinearEnv)]
 
 # contexts each environment's means must map alike one at a time and in a
 # batch: step and interval edges, -0.0, and NaN where the means allow it
@@ -209,7 +197,7 @@ SPECIAL_CONTEXTS = {
 }
 
 
-@pytest.mark.parametrize("env", ONE_BODY_ENVIRONMENTS)
+@pytest.mark.parametrize("env", ONE_ROUND_ENVIRONMENTS)
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**63 - 1), calls=st.integers(1, 20), n=st.integers(1, 40))
 def test_one_row_equals_first_batch_row(env, seed, calls, n):
@@ -225,7 +213,7 @@ def test_one_row_equals_first_batch_row(env, seed, calls, n):
     assert batch_means.shape == batch_rewards.shape == (n, env.K)
 
 
-@pytest.mark.parametrize("env", ONE_BODY_ENVIRONMENTS)
+@pytest.mark.parametrize("env", ENVIRONMENTS)
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**63 - 1))
 def test_one_context_means_equal_first_batch_row(env, seed):
@@ -261,11 +249,13 @@ def test_environment_without_sampler_raises():
     for draw in draws:
         with pytest.raises(NotImplementedError, match="override sample or sample_batch"):
             draw(Bare())
-    # overriding sample_batch alone is enough to play; there is no one-round sampler
+    # overriding sample_batch alone is enough to play; there is no one-round
+    # sampler, as in the batch-only built-ins
     sample, _, play = draws
     assert len(play(BatchOnly())) == 8
-    with pytest.raises(NotImplementedError, match="override sample or sample_batch"):
-        sample(BatchOnly())
+    for env in [BatchOnly(), *BATCH_ONLY_ENVIRONMENTS]:
+        with pytest.raises(NotImplementedError, match="override sample or sample_batch"):
+            sample(env)
 
 
 class RowEnv(BanditEnvironment):

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from safebandit import (
     run_safe_falcon,
 )
 from safebandit import cli, harness
+from safebandit.analysis import aggregate_runs
 from safebandit.cli import main
 from safebandit.harness import (
     CONFIG_KEYS,
@@ -30,11 +32,12 @@ from safebandit.harness import (
     compare_experiments,
     first_flip_epoch,
     load_config_file,
+    render_regret_svg,
     run_experiment,
     run_replications,
     write_trace_csv,
 )
-from support import Edited
+from support import Edited, batch_of_one, shifted_realizable_k5
 
 
 def small_config(tmp_path, **overrides):
@@ -76,6 +79,17 @@ class TestConfig:
         assert cfg.tau1 == 8 and cfg.delta == 0.1 and cfg.horizon == 256
         assert cfg.runs == 4 and cfg.seed == 7
         assert cfg.avg_epoch_test is True and cfg.out == "results"
+
+    def test_line_without_equals(self, tmp_path, capsys):
+        # line 4, counting the comment and the blank line
+        path = tmp_path / "exp.cfg"
+        path.write_text("# comment\n\nT = 64\nruns 2\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:4: expected key=value")):
+            load_config_file(str(path))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert f"{path}:4" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
@@ -273,7 +287,8 @@ def multi_block_trace():
 class TestTraceWriter:
     def test_bytes_equal_the_csv_module_reference(self, tmp_path):
         cfg = AlgorithmConfig(tau1=8, delta=0.05, horizon=1000, enable_avg_epoch_test=True)
-        drop = Edited(IntroExampleEnv(), lambda t, x, m, r: (x, m, r - (50.0 if t > 300 else 0.0)))
+        drop = Edited(IntroExampleEnv(), lambda t, x, m, r: (x, m, r - (50.0 if t > 300 else 0.0)),
+                      batch_of_one(IntroExampleEnv()))
         drop = run_safe_falcon(drop, LinearPerArmOracle(2, 1), cfg, seed=3)
         wide = realizable_linear_env(3, dim=2, coefficient_seed=4)
         wider = realizable_linear_env(4, dim=3, coefficient_seed=6)
@@ -322,6 +337,15 @@ class TestTraceWriter:
         assert peak(2**17) <= 1.5 * peak(2**13)
 
 
+def test_regret_svg_of_a_flat_negative_range():
+    # one run of one epoch: its bounds equal its mean, below 0, so the y
+    # range is empty until it is widened to one unit
+    svg = render_regret_svg(aggregate_runs([(np.array([1]), np.array([1]), np.array([-0.25]))]))
+    assert "nan" not in svg and "inf" not in svg
+    labels = [float(v) for v in re.findall(r'text-anchor="end" font-size="10">([^<]+)<', svg)]
+    assert labels == [-0.25, 0.25, 0.75]
+
+
 class TestCompare:
     def test_compare_outputs(self, tmp_path):
         cfg_a = small_config(tmp_path, algorithm="safe-falcon")
@@ -335,6 +359,17 @@ class TestCompare:
             flips = list(csv.DictReader(fh))
         assert len(flips) == cfg_a.runs
         assert all(r["flip_epoch"] == "" for r in flips)
+
+    def test_flip_epochs_of_runs_that_detect(self, tmp_path, monkeypatch):
+        # both runs detect the shift at round 4224, in epoch 8
+        monkeypatch.setitem(harness.ENVIRONMENTS, "shifted", lambda cfg: shifted_realizable_k5())
+        common = dict(env="shifted", tau1=64, horizon=4400, runs=2, seed=0)
+        result = compare_experiments(
+            small_config(tmp_path, algorithm="safe-falcon", avg_epoch_test=True, **common),
+            small_config(tmp_path, algorithm="falcon-plus", **common),
+        )
+        with open(result["flips"], newline="") as fh:
+            assert fh.read().splitlines() == ["run_id,flip_epoch", "0,8", "1,8"]
 
     def test_mismatched_horizons_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -531,6 +566,14 @@ class TestCli:
         assert f"FAIL: xi not finite at n=3, zeta=delta/ln(n): xi={C}" in out
         assert "rate valid" not in out
 
+    def test_mismatched_horizons_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "compare"
+        assert main(["compare", "--a-algorithm", "safe-falcon", "--a-avg-epoch-test", "true",
+                     "--a-T", "256", "--b-algorithm", "falcon-plus", "--b-T", "512",
+                     "--out", str(out)]) == 2
+        assert "share the horizon T" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_subcommand(self, tmp_path):
         out = str(tmp_path / "cmp")
         code = main(
@@ -642,6 +685,15 @@ class TestConfigKeySpellings:
     def test_run_flag(self, key, captured):
         assert main(["run", CONFIG_KEYS[key][1], KEY_VALUES[key][0]]) == 0
         self.assert_lands(captured[0], key)
+
+    @pytest.mark.parametrize("value", ["0", "false", "no", "off", "FALSE", "No", "oFf"])
+    def test_false_spellings(self, value, captured, tmp_path):
+        # each overrides a true before it, so its False is parsed, not the default
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"avg_epoch_test = true\navg_epoch_test = {value}\n")
+        assert main(["run", "--config", str(path)]) == 0
+        assert main(["run", "--avg-epoch-test", "true", "--avg-epoch-test", value]) == 0
+        assert [cfg.avg_epoch_test for cfg in captured] == [False, False]
 
     @pytest.mark.parametrize("key", [k for k in CONFIG_KEYS if k != "out"])
     @pytest.mark.parametrize("side", [0, 1], ids=["a", "b"])

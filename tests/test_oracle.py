@@ -17,7 +17,7 @@ from safebandit import (
     run_falcon_plus,
     validate_rate,
 )
-from support import Edited
+from support import Edited, batch_of_one
 
 
 class TestLinearChiSquaredRate:
@@ -242,7 +242,8 @@ class TestLinearPerArmOracle:
 
         # tau1 = 2: epoch 4 holds rounds 9 to 16
         nan_at_10 = Edited(IntroExampleEnv(),
-                           lambda t, x, m, r: (x, m, np.full(2, np.nan) if t == 10 else r))
+                           lambda t, x, m, r: (x, m, np.full(2, np.nan) if t == 10 else r),
+                           batch_of_one(IntroExampleEnv()))
         cfg = AlgorithmConfig(tau1=2, delta=0.05, horizon=4096)
         with pytest.raises(ValueError, match="rewards must be finite"):
             run_falcon_plus(nan_at_10, LinearPerArmOracle(2, 1), cfg, seed=0)

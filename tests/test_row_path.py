@@ -10,9 +10,10 @@ bit for bit: values, dtypes and the signs of zeros. (``test_kernel.py``
 holds the ``np.clip`` form of ``LinearPerArmModel.values``.)
 
 The stateful negated environment wraps a built-in one. Its reference copy
-takes each inner round as the built-ins' ``sample`` gave it before they drew
-a round and a batch from one body: row 0 of ``sample_batch(rng, 1)``. So the
-reference does not run the one-round path it is checked against.
+takes each inner round as row 0 of ``sample_batch(rng, 1)``, so over
+``RealizableLinearEnv`` the reference does not run the one-round path it is
+checked against. ``TabularEnv`` draws only in batches, so both copies take
+its rounds that way.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safebandit import RealizableLinearEnv, TabularEnv
-from support import Edited, coefficients, same_bits
+from support import Edited, batch_of_one, coefficients, same_bits
 
 ROWS = (1, 2, 17, 4096)
 
@@ -45,21 +46,17 @@ def reference_default_sample_batch(env, rng, n):
     return X, np.array(means, dtype=float), np.array(rewards, dtype=float)
 
 
-def batch_of_one(env):
-    """``env``'s rounds as row 0 of a batch of one."""
-    return lambda rng: tuple(a[0] for a in env.sample_batch(rng, 1))
-
-
-def assert_negated_equals_reference(inner, at, seed, sizes):
-    """The default ``sample_batch`` of ``inner`` with means and rewards
-    negated after round ``at``, so rows clipped to 0 turn into -0.0, against
-    the reference, over successive calls of ``sizes`` rows: the round count
+def assert_negated_equals_reference(inner, row, at, seed, sizes):
+    """The default ``sample_batch`` of ``inner``'s rounds as ``row(rng)``
+    draws them (``inner.sample`` if None), with means and rewards negated
+    after round ``at``, so rows clipped to 0 turn into -0.0, against the
+    reference, over successive calls of ``sizes`` rows: the round count
     carries from one call to the next."""
 
     def negate(t, x, m, r):
         return (x, -m, -r) if t > at else (x, m, r)
 
-    env, ref = Edited(inner, negate), Edited(inner, negate, batch_of_one(inner))
+    env, ref = Edited(inner, negate, row), Edited(inner, negate, batch_of_one(inner))
     for i, n in enumerate(sizes):
         got = env.sample_batch(np.random.Generator(np.random.Philox(seed + i)), n)
         want = reference_default_sample_batch(ref, np.random.Generator(np.random.Philox(seed + i)), n)
@@ -100,7 +97,7 @@ def test_realizable_sample_equals_reference(K, dim, seed, rounds):
 @given(at=st.integers(0, 20), **common)
 def test_default_sample_batch_equals_reference(K, dim, seed, n, at):
     inner = RealizableLinearEnv(*coefficients(np.random.Generator(np.random.Philox(seed)), K, dim))
-    assert_negated_equals_reference(inner, at, seed, (n, 3))
+    assert_negated_equals_reference(inner, None, at, seed, (n, 3))
 
 
 @settings(max_examples=30, deadline=None)
@@ -108,4 +105,4 @@ def test_default_sample_batch_equals_reference(K, dim, seed, n, at):
 def test_default_sample_batch_equals_reference_on_integer_contexts(seed, n, at):
     # TabularEnv's contexts are integer-valued floats
     inner = TabularEnv(np.random.Generator(np.random.Philox(seed)).random((4, 3)))
-    assert_negated_equals_reference(inner, at, seed, (n,))
+    assert_negated_equals_reference(inner, batch_of_one(inner), at, seed, (n,))
