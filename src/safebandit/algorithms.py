@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EpochSchedule, RunTrace, _gather, _whole, zero_model
+from .core import EpochSchedule, RunTrace, _epoch, _gather, _whole, zero_model
 from .environments import BanditEnvironment, _check_batch
 from .oracle import Dataset, EstimationRate, RegressionOracle
 
@@ -67,7 +67,13 @@ def action_probs(values: np.ndarray, gamma: float) -> np.ndarray:
     Non-best arms get 1 / (K + gamma * gap); the best arm absorbs the rest.
     The work runs on an arm-major (K, n) array, and sums over arms are taken
     in arm order, so one row equals the same row of a batch.
+
+    gamma must be a finite number >= 0 (0 gives the uniform kernel); a
+    negative, NaN or infinite gamma raises ValueError.
     """
+    # negated, so that a NaN gamma fails as well
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and >= 0, not {gamma!r}")
     values = np.asarray(values, dtype=float)
     K = values.shape[-1]
     V = np.ascontiguousarray(values.reshape(-1, K).T)
@@ -148,7 +154,10 @@ def gamma_m(
 
 def l_prime(m: int, rewards, delta_prime: float) -> float:
     """Hoeffding lower bound on the value of the policy used in epoch m. The
-    width assumes rewards in [0, 1]; intro-example's rewards are unbounded."""
+    width assumes rewards in [0, 1]; intro-example's rewards are unbounded.
+    Raises ValueError for an epoch m < 1, TypeError for a bool or any other
+    non-integer m."""
+    m = _epoch(m, 1)
     rewards = np.asarray(rewards, dtype=float)
     n = len(rewards)
     if n == 0:
@@ -166,9 +175,10 @@ def choose_safe(m: int, rewards, l_prev: float, m_hat: int, delta_prime: float):
 
 def safety_check_times(m: int, schedule: EpochSchedule) -> list[int]:
     """Rounds in epoch m where the misspecification tests run, in increasing
-    order: offsets 1, 2, 4, ... below the epoch's size, then its end."""
-    if m < 2:
-        raise ValueError("checks only run from epoch 2 onward")
+    order: offsets 1, 2, 4, ... below the epoch's size, then its end.
+    Raises ValueError for an epoch m < 2, TypeError for a bool or any other
+    non-integer m."""
+    m = _epoch(m, 2)
     start, size = schedule.tau(m - 1), schedule.epoch_size(m)
     return [start + (1 << k) for k in range((size - 1).bit_length())] + [start + size]
 

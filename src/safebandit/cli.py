@@ -123,19 +123,19 @@ def build_parser() -> argparse.ArgumentParser:
         "lowerbound-check",
         help="verify the hard instance: sqrt(B) analytic vs brute force, g-invariance",
     )
-    p_lb.add_argument("--K", type=int, default=2)
-    p_lb.add_argument("--B", type=float, default=1.0 / 16)
+    p_lb.add_argument("--K", type=int, default=ExperimentConfig.env_k)
+    p_lb.add_argument("--B", type=float, default=ExperimentConfig.env_b)
     p_lb.set_defaults(func=_cmd_lowerbound_check)
 
     p_vr = sub.add_parser("validate-rate", help="check estimation-rate validity")
     p_vr.add_argument("--rate", choices=("linear", "common"), default="linear")
-    p_vr.add_argument("--delta", type=float, default=0.05)
+    p_vr.add_argument("--delta", type=float, default=ExperimentConfig.delta)
     p_vr.add_argument("--n-max", type=int, default=10**6)
     p_vr.add_argument("--C", type=float, default=1.0)
     p_vr.add_argument("--rho", type=float, default=1.0)
     p_vr.add_argument("--rho-prime", type=float, default=0.0)
     p_vr.add_argument("--comp", type=float, default=1.0)
-    p_vr.add_argument("--n0", type=int, default=2)
+    p_vr.add_argument("--n0", type=int, default=CommonRate.n0)
     p_vr.set_defaults(func=_cmd_validate_rate)
     return parser
 

@@ -217,8 +217,8 @@ class TabularEnv(BanditEnvironment):
 
     def __init__(self, table, context_probs=None):
         self.table = np.asarray(table, dtype=float)
-        if self.table.ndim != 2:
-            raise ValueError("table must be (num contexts, K)")
+        if self.table.ndim != 2 or 0 in self.table.shape:
+            raise ValueError("table must be (num contexts, K), with at least one of each")
         # written so that NaN fails each check
         if not np.all((self.table >= 0) & (self.table <= 1)):
             raise ValueError("table entries must be probabilities")

@@ -22,12 +22,14 @@ ALGORITHMS = ("safe-falcon", "falcon-plus")
 # alone determines the instance
 _REALIZABLE_COEF_SEED = 20210229
 
-# environment name -> factory taking the ExperimentConfig
+# environment name -> (the ExperimentConfig fields it reads, a factory
+# taking their values in that order); compare pairs two sides on them
 ENVIRONMENTS = {
-    "intro-example": lambda cfg: IntroExampleEnv(),
-    "lower-bound": lambda cfg: LowerBoundEnv(cfg.env_k, cfg.env_b),
-    "realizable-linear": lambda cfg: realizable_linear_env(
-        cfg.env_k, dim=1, coefficient_seed=_REALIZABLE_COEF_SEED
+    "intro-example": ((), IntroExampleEnv),
+    "lower-bound": (("env_k", "env_b"), LowerBoundEnv),
+    "realizable-linear": (
+        ("env_k",),
+        lambda K: realizable_linear_env(K, dim=1, coefficient_seed=_REALIZABLE_COEF_SEED),
     ),
 }
 
@@ -155,8 +157,13 @@ def apply_key(cfg: ExperimentConfig, key: str, value: str) -> ExperimentConfig:
     return replace(cfg, **{attr: parsed})
 
 
+def _environment_values(cfg: ExperimentConfig) -> tuple:
+    """The values of the config fields that its environment reads."""
+    return tuple(getattr(cfg, name) for name in ENVIRONMENTS[cfg.env][0])
+
+
 def build_environment(cfg: ExperimentConfig):
-    return ENVIRONMENTS[cfg.env](cfg)
+    return ENVIRONMENTS[cfg.env][1](*_environment_values(cfg))
 
 
 def _make_out_dir(path: str):
@@ -368,7 +375,7 @@ def compare_experiments(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> dic
     cfg_b.validate()
     if cfg_a.horizon != cfg_b.horizon:
         raise ConfigError("compared configs must share the horizon T")
-    if (cfg_a.env, cfg_a.env_k, cfg_a.env_b) != (cfg_b.env, cfg_b.env_k, cfg_b.env_b):
+    if (cfg_a.env, _environment_values(cfg_a)) != (cfg_b.env, _environment_values(cfg_b)):
         raise ConfigError("compared configs must share the environment")
     if cfg_a.algorithm == cfg_b.algorithm:
         raise ConfigError("compared configs must use different algorithms")

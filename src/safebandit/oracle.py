@@ -69,9 +69,14 @@ def validate_rate(rate: EstimationRate, delta: float, n_max: int) -> list[str]:
     Condition 2: xi(n, zeta) >= ln(1/zeta)/n, checked on a geometric subgrid
     of n crossed with the fixed ``_ZETA_GRID`` plus delta/ln(n).
     A NaN or infinite xi anywhere on either grid is a failure too.
+
+    Raises ValueError for a delta outside (0, 1) or an n_max below 4, and
+    TypeError for a bool or any other non-integer n_max.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    # a float range would check a float grid; a bool is no count either
+    n_max = _whole(n_max)
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
     failures = []

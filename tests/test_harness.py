@@ -11,6 +11,7 @@ import pytest
 
 from safebandit import (
     AlgorithmConfig,
+    CommonRate,
     IntroExampleEnv,
     LinearPerArmOracle,
     LowerBoundEnv,
@@ -172,14 +173,6 @@ class TestRunExperiment:
         keys = [(int(r[0]), int(r[1])) for r in rows[1:]]
         assert keys == sorted(keys)
 
-    def test_byte_determinism(self, tmp_path):
-        cfg_a = small_config(tmp_path, out=str(tmp_path / "a"))
-        cfg_b = small_config(tmp_path, out=str(tmp_path / "b"))
-        pa, pb = run_experiment(cfg_a), run_experiment(cfg_b)
-        for key in ("trace", "epochs", "svg"):
-            with open(pa[key], "rb") as fa, open(pb[key], "rb") as fb:
-                assert fa.read() == fb.read(), key
-
     def test_epochs_csv_roundtrip(self, tmp_path):
         cfg = small_config(tmp_path, runs=2, horizon=128)
         paths = run_experiment(cfg)
@@ -215,11 +208,11 @@ class TestRunExperiment:
         # stateful: every arm's reward drops by 1 after round 100 of the
         # object's life, so an environment shared by the runs would drop
         # from run 1's first round on
-        def shifted(cfg):
+        def shifted():
             inner = realizable_linear_env(2, 1, coefficient_seed=5)
             return Edited(inner, lambda t, x, m, r: (x, m, r - (1.0 if t > 100 else 0.0)))
 
-        monkeypatch.setitem(harness.ENVIRONMENTS, "shifted", shifted)
+        monkeypatch.setitem(harness.ENVIRONMENTS, "shifted", ((), shifted))
         cfg = ExperimentConfig(env="shifted", horizon=256, runs=2, seed=0)
         _, second = run_replications(cfg)
         (alone,) = run_replications(replace(cfg, runs=1, seed=1))
@@ -362,7 +355,7 @@ class TestCompare:
 
     def test_flip_epochs_of_runs_that_detect(self, tmp_path, monkeypatch):
         # both runs detect the shift at round 4224, in epoch 8
-        monkeypatch.setitem(harness.ENVIRONMENTS, "shifted", lambda cfg: shifted_realizable_k5())
+        monkeypatch.setitem(harness.ENVIRONMENTS, "shifted", ((), shifted_realizable_k5))
         common = dict(env="shifted", tau1=64, horizon=4400, runs=2, seed=0)
         result = compare_experiments(
             small_config(tmp_path, algorithm="safe-falcon", avg_epoch_test=True, **common),
@@ -539,6 +532,42 @@ class TestCli:
         assert not (tmp_path / "bad").exists()
         for name in ("trace.csv", "epochs.csv", "regret.svg"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_compare_pairs_sides_on_the_fields_their_environment_reads(self, tmp_path, capsys):
+        # intro-example reads neither env.K nor env.B, realizable-linear
+        # env.K alone, lower-bound both
+        def compare(env, flag, value):
+            return main(["compare", "--a-algorithm", "safe-falcon", "--a-T", "64", "--a-env", env,
+                         flag, value, "--b-algorithm", "falcon-plus", "--b-T", "64", "--b-env", env,
+                         "--out", str(tmp_path / env)])
+
+        for env, flag, value in (("intro-example", "--a-env-k", "3"),
+                                 ("intro-example", "--a-env-b", "0.1"),
+                                 ("realizable-linear", "--a-env-b", "0.1")):
+            assert compare(env, flag, value) == 0
+        capsys.readouterr()
+        for env, flag, value in (("lower-bound", "--a-env-k", "3"),
+                                 ("lower-bound", "--a-env-b", "0.1"),
+                                 ("realizable-linear", "--a-env-k", "3")):
+            assert compare(env, flag, value) == 2
+            assert "share the environment" in capsys.readouterr().err
+        assert not (tmp_path / "lower-bound").exists()
+
+    def test_check_defaults_come_from_their_owners(self, monkeypatch):
+        owners = {
+            ("lowerbound-check", "K"): (ExperimentConfig, "env_k"),
+            ("lowerbound-check", "B"): (ExperimentConfig, "env_b"),
+            ("validate-rate", "delta"): (ExperimentConfig, "delta"),
+            ("validate-rate", "n0"): (CommonRate, "n0"),
+        }
+        for (command, dest), (owner, attr) in owners.items():
+            assert getattr(cli.build_parser().parse_args([command]), dest) == getattr(owner, attr)
+        # a parser built after an owner's default changes follows it
+        for i, (owner, attr) in enumerate(owners.values()):
+            monkeypatch.setattr(owner, attr, 100 + i)
+        parser = cli.build_parser.__wrapped__()
+        for i, (command, dest) in enumerate(owners):
+            assert getattr(parser.parse_args([command]), dest) == 100 + i
 
     def test_lowerbound_check(self, capsys):
         assert main(["lowerbound-check", "--K", "3", "--B", "0.05"]) == 0

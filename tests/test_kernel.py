@@ -7,18 +7,14 @@ per-epoch arithmetic became arm-major: numpy reductions along the short last
 bit. From 8 terms on numpy switches to pairwise summation, so there the
 arm-major code must instead give one row the same bits as that row of a batch.
 
-``clip_form_values`` is the arm-major model before its sum was clipped
-in place: it adds the intercepts into a new array and calls ``np.clip``.
-Addition commutes and ``ndarray.clip`` calls the same ufunc, so the two must
-agree bit for bit at any K and dim.
-
 ``zero_start_values`` is the arm-major model before its sum started
-from the first product: it sums from +0.0 and adds the intercepts in place.
-It adds every operand in the model's order, so the two must agree bit for
-bit on any input, NaN payloads included. The references above multiply and
-add some operands the other way round; where two NaNs meet, IEEE 754 leaves
-the result's payload and sign to the operand order, so against them a NaN
-only has to stay a NaN.
+from the first product: it sums from +0.0, adds the intercepts in place and
+calls ``np.clip``. It adds every operand in the model's order, and
+``ndarray.clip`` calls the same ufunc, so the two must agree bit for bit on
+any input at any K and dim, NaN payloads included. The references above
+multiply and add some operands the other way round; where two NaNs meet,
+IEEE 754 leaves the result's payload and sign to the operand order, so
+against them a NaN only has to stay a NaN.
 
 The ``*_form`` references below are the forms that fewer passes per epoch
 replaced, each of which must still agree with its replacement bit for bit:
@@ -37,10 +33,11 @@ replaced, each of which must still agree with its replacement bit for bit:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safebandit import IntroExampleEnv, LinearPerArmModel, RunTrace, action_probs
+from safebandit import ConstantModel, IntroExampleEnv, LinearPerArmModel, RunTrace, action_probs
 from safebandit.algorithms import _draw_arms, _first_max
 from support import coefficients, same_bits
 
@@ -65,13 +62,6 @@ def reference_draw_arms(p, u):
 def reference_values(intercepts, slopes, X):
     products = X[:, None, :] * slopes
     return np.clip(intercepts + products.sum(axis=-1), 0.0, 1.0)
-
-
-def clip_form_values(intercepts, slopes, X):
-    total = np.zeros((len(intercepts), len(X)))
-    for d in range(X.shape[1]):
-        total += slopes[:, d, None] * X[:, d]
-    return np.clip(intercepts[:, None] + total, 0.0, 1.0).T
 
 
 def zero_start_values(intercepts, slopes, X):
@@ -197,7 +187,6 @@ def test_values_equals_reference(K, dim, seed, n):
     X[rng.random((n, dim)) < 0.1] = -0.0
     got = LinearPerArmModel(intercepts, slopes).values(X)
     assert same_bits(got, reference_values(intercepts, slopes, X))
-    assert same_bits(got, clip_form_values(intercepts, slopes, X))
     assert same_bits(got, zero_start_values(intercepts, slopes, X))
 
 
@@ -250,18 +239,14 @@ def test_values_special_values_grid():
             rows = [model.values(x) for x in X]
             want = zero_start_values(intercepts, slopes, X)
             want_rows = [zero_start_values(intercepts, slopes, x) for x in X]
-            references = [
-                reference_values(intercepts, slopes, X),
-                clip_form_values(intercepts, slopes, X),
-            ]
+            reference = reference_values(intercepts, slopes, X)
         negative_zero = (products == 0) & np.signbit(products)
         assert (negative_zero.all(axis=-1) & (intercepts == 0) & np.signbit(intercepts)).any()
         assert same_bits(got, want)
         assert all(map(same_bits, rows, want_rows))
         # one context and a batch run different numpy loops
         assert all(map(same_bits_but_nan_payloads, rows, got))
-        for reference in references:
-            assert same_bits_but_nan_payloads(got, reference)
+        assert same_bits_but_nan_payloads(got, reference)
 
 
 def test_values_of_dim_zero_is_the_clamped_intercepts():
@@ -278,18 +263,24 @@ def test_values_of_dim_zero_is_the_clamped_intercepts():
     )
 
 
+@pytest.mark.parametrize("kind", ["constant", "linear"])
 @settings(max_examples=60, deadline=None)
 @given(K=st.integers(1, 12), dim=st.integers(1, 10), seed=st.integers(0, 2**63 - 1))
-def test_values_of_one_context_equals_batch_row(K, dim, seed):
-    """One (dim,) context gives the (K,) bits of row 0 of its (1, dim)
-    batch: -0.0 intercepts and contexts, and NaN contexts, included."""
+def test_values_of_one_context_equals_batch_row(kind, K, dim, seed):
+    """For both built-in models, one (dim,) context gives the (K,) bits of
+    row 0 of its (1, dim) batch and of its row of a 17-row batch: -0.0
+    intercepts and contexts, NaN contexts, and contexts scaled by 1e-3 and
+    1e3, included."""
     rng = np.random.Generator(np.random.Philox(seed))
-    model = LinearPerArmModel(*coefficients(rng, K, dim))
-    X = rng.uniform(-2.0, 2.0, (17, dim))
+    intercepts, slopes = coefficients(rng, K, dim)
+    model = ConstantModel(intercepts) if kind == "constant" else LinearPerArmModel(intercepts, slopes)
+    X = rng.uniform(-2.0, 2.0, (17, dim)) * rng.choice([1e-3, 1.0, 1e3], (17, dim))
     X[rng.random((17, dim)) < 0.1] = -0.0
     X[rng.random((17, dim)) < 0.05] = np.nan
-    for x in X:
-        assert same_bits(model.values(x), model.values(x[None])[0])
+    batch = model.values(X)
+    for x, row in zip(X, batch):
+        one = model.values(x)
+        assert same_bits(one, model.values(x[None])[0]) and same_bits(one, row)
 
 
 @settings(max_examples=30, deadline=None)
@@ -316,14 +307,15 @@ def test_wide_kernel_row_equals_batch_row(K, seed, n, grid, gamma):
     n=st.sampled_from(ROWS),
 )
 def test_wide_values_row_equals_batch_row(K, dim, seed, n):
+    """From 8 dims on, where numpy would sum pairwise: the batch has the bits
+    of the sum from +0.0 in dim order, so each row is summed as one context
+    is (``test_values_of_one_context_equals_batch_row``)."""
     rng = np.random.Generator(np.random.Philox(seed))
     intercepts, slopes = coefficients(rng, K, dim)
     model = LinearPerArmModel(intercepts, slopes)
     X = rng.uniform(-2.0, 2.0, (n, dim))
     batch = model.values(X)
-    assert same_bits(batch, clip_form_values(intercepts, slopes, X))
-    for i in {0, n // 2, n - 1}:
-        assert same_bits(model.values(X[i]), batch[i])
+    assert same_bits(batch, zero_start_values(intercepts, slopes, X))
     np.testing.assert_allclose(
         batch, reference_values(intercepts, slopes, X), rtol=1e-12, atol=1e-15
     )

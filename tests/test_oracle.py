@@ -47,10 +47,11 @@ class TestCommonRate:
 
 
 class TestValidateRate:
-    def test_linear_rate_passes(self):
-        for delta in (0.3, 0.05, 0.01):
-            failures = validate_rate(LinearChiSquaredRate(), delta, 10_000)
-            assert failures == []
+    @pytest.mark.parametrize("n_max", [4.5, 1000.0, np.float64(100), True])
+    def test_non_integer_n_max_raises(self, n_max):
+        # a float would check a float grid, and a bool is no count
+        with pytest.raises(TypeError):
+            validate_rate(LinearChiSquaredRate(), 0.05, n_max)
 
     def test_common_rate_passes(self):
         rate = CommonRate(C=4.0, rho=1.0, rho_prime=0.0, comp=1.0, n0=2)
