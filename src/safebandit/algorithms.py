@@ -113,43 +113,37 @@ def _draw_arms(p: np.ndarray, u: np.ndarray, arms: np.ndarray) -> np.ndarray:
     return arms
 
 
-def _xi_epoch(m, previous_size, rate: EstimationRate, delta_prime: float):
-    """Estimation rate used in epoch m >= 2 (an int, or an int array of
-    epochs): xi at the previous epoch's size and confidence delta' / m^2."""
-    return rate.xi(previous_size, delta_prime / m**2)
+def _xi_epochs(previous_sizes: np.ndarray, rate: EstimationRate, delta_prime: float):
+    """Estimation rate used in epochs 2 .. m, from the sizes of epochs
+    1 .. m - 1: epoch e's xi at the previous epoch's size and confidence
+    delta' / e^2."""
+    return rate.xi(previous_sizes, delta_prime / np.arange(2, len(previous_sizes) + 2) ** 2)
+
+
+def _gammas(schedule: EpochSchedule, rate: EstimationRate, delta_prime: float, K: int, last: int):
+    """gamma of epochs 1 .. ``last``, an int >= 1, as a float64 array: 1 in
+    epoch 1, then sqrt(K / (8 xi)) with xi evaluated at the previous epoch's
+    size. Raises ValueError for a previous epoch of 2^63 rounds or more,
+    before any array is made, and for a rate whose xi is not positive."""
+    xi = _xi_epochs(schedule._sizes(last - 1), rate, delta_prime)
+    # negated, so that a NaN xi fails as well
+    if not (xi > 0).all():
+        raise ValueError("the rate's xi must be positive")
+    return np.concatenate(([1.0], np.sqrt(K / (8.0 * xi))))
 
 
 def gamma_m(
-    m,
-    schedule: EpochSchedule,
-    rate: EstimationRate,
-    delta_prime: float,
-    K: int,
-):
-    """Exploitation parameter of epoch m (an int, or an int array of epochs):
-    1 in epoch 1, then sqrt(K / (8 xi)) with xi evaluated at the previous
-    epoch's size. A float for an int m. Raises ValueError for m < 1, for an
-    m whose previous epoch has 2^63 rounds or more (the int64 limit of
-    ``EpochSchedule.epoch_size``'s array form, which an int m goes through
-    too) and for a rate whose xi is not positive; TypeError for a bool, a
-    bool array or any other non-integer m."""
-    m = _whole(m, arrays=True)
-    if np.ndim(m) == 0:
-        # clamped to [0, int64 max], an int fits np.asarray and fails the
-        # checks below as before
-        m = min(max(m, 0), np.iinfo(np.int64).max)
-    m = np.asarray(m)
-    if (m < 1).any():
+    m: int, schedule: EpochSchedule, rate: EstimationRate, delta_prime: float, K: int
+) -> float:
+    """Exploitation parameter of epoch m, the last of ``_gammas``' values
+    through epoch m, so the engine plays this value. Raises ValueError for
+    m < 1 and where ``_gammas`` does (for a rate whose xi is not positive in
+    any of epochs 2 .. m); TypeError for a bool, an array or any other
+    non-integer m."""
+    m = _whole(m)
+    if m < 1:
         raise ValueError("epoch index must be >= 1")
-    from_2 = np.maximum(m, 2)
-    sizes = schedule.epoch_size(np.atleast_1d(from_2 - 1)).reshape(m.shape)
-    xi = _xi_epoch(from_2, sizes, rate, delta_prime)
-    # epoch 1's gamma is 1 whatever the rate
-    xi = np.where(m == 1, 1.0, xi)
-    if not (xi > 0).all():
-        raise ValueError("the rate's xi must be positive")
-    gamma = np.where(m == 1, 1.0, np.sqrt(K / (8.0 * xi)))
-    return float(gamma) if gamma.ndim == 0 else gamma
+    return float(_gammas(schedule, rate, delta_prime, K, m)[-1])
 
 
 def l_prime(m: int, rewards, delta_prime: float) -> float:
@@ -195,10 +189,9 @@ def _floor_terms(
     m = np.asarray(m)
     if m.min() < 2:
         raise ValueError("checks only run from epoch 2 onward")
-    # epochs 1 .. the last asked for; epoch e >= 2 holds rounds
+    # the sizes of epochs 1 .. the last asked for; epoch e >= 2 holds rounds
     # tau_{e-1} + 1 .. 2 tau_{e-1}, and its size is tau_{e-1}
-    epochs = np.arange(1, m.max() + 1)
-    sizes = schedule.epoch_size(epochs)
+    sizes = schedule._sizes(m.max())
     lo = sizes[m - 1]
     # ts - lo, and lo as a Python int, since 2 * lo can pass int64
     if ((ts <= lo) | (ts - lo > lo)).any():
@@ -206,14 +199,14 @@ def _floor_terms(
         raise ValueError(f"check rounds must lie in {where}")
     # per-epoch arrays from epoch 2 on: epoch m is row m - 2
     row = m - 2
-    sqrt_xi = np.sqrt(_xi_epoch(epochs[1:], sizes[:-1], rate, delta_prime))
+    sqrt_xi = np.sqrt(_xi_epochs(sizes[:-1], rate, delta_prime))
     # S_t: the summand is constant within an epoch; the earlier epochs' terms
     # are added in epoch order, then epoch m's rounds so far
     full = np.cumsum(np.concatenate(([0.0], (sizes[1:-1] * sqrt_xi[:-1]))))
     explored = full[row] + (ts - lo) * sqrt_xi[row]
     log2_tau1 = math.log2(schedule.tau1)
     log_m = np.array(
-        [math.log(math.ceil(e + log2_tau1) ** 3 / delta_prime) for e in range(2, len(epochs) + 1)]
+        [math.log(math.ceil(e + log2_tau1) ** 3 / delta_prime) for e in range(2, len(sizes) + 1)]
     )[row]
     scale = EXPLORATION_CONSTANT * math.sqrt(K)
     return (
@@ -345,7 +338,7 @@ def _run_epoch_loop(
     # check rounds with their floors' data-free terms
     last = schedule.epoch_of(T)
     gamma_scale = 1.0 if checks else FALCON_PLUS_GAMMA_SCALE
-    gammas = gamma_scale * gamma_m(np.arange(1, last + 1), schedule, rate, dp, K)
+    gammas = gamma_scale * _gammas(schedule, rate, dp, K, last)
     rounds, terms = _check_plan(schedule, rate, dp, K, T) if checks else (None, None)
 
     # the model played in each epoch, epoch m's at m - 1; epoch 1's zero

@@ -102,8 +102,10 @@ def m_star(
 ):
     """Largest epoch m with B <= xi(tau_m - tau_{m-1}, delta'/m^2), scanned up
     to m_cap. Returns None ("infinite" within the cap) when the condition
-    still holds at m_cap, and 0 when it fails already at m = 1."""
-    if B < 0:
+    still holds at m_cap, and 0 when it fails already at m = 1. A negative
+    or NaN B raises ValueError."""
+    # negated, so that a NaN B fails as well
+    if not B >= 0:
         raise ValueError("B must be nonnegative")
     last = 0
     for m in range(1, m_cap + 1):

@@ -120,17 +120,10 @@ class LinearPerArmModel(OutcomeModel):
 MAX_EPOCH = 1024
 
 
-def _whole(n, arrays: bool = False):
-    """n as an int, or with ``arrays`` as an int64 array when it has an
-    axis. A bool, a bool array or any other non-integer raises TypeError:
-    ``operator.index`` alone takes a Python bool as 0 or 1."""
-    if arrays and np.ndim(n) > 0:
-        n = np.asarray(n)
-        if n.dtype == bool:
-            raise TypeError("expected integers, not bool values")
-        # int64, so that no shift wraps in a narrower dtype; floats and
-        # uint64 cannot be cast safely and raise TypeError
-        return n.astype(np.int64, casting="safe", copy=False)
+def _whole(n) -> int:
+    """n as an int. A bool or any other non-integer, an array included,
+    raises TypeError: ``operator.index`` alone takes a Python bool as 0 or
+    1."""
     if isinstance(n, bool):
         raise TypeError("expected an integer, not a bool")
     return operator.index(n)
@@ -154,9 +147,10 @@ class EpochSchedule:
     tau1: int
 
     def __post_init__(self):
-        # a Python int, so that tau and epoch_of are exact for any round
-        object.__setattr__(self, "tau1", operator.index(self.tau1))
-        # epoch sizes of several epochs are int64 arrays
+        # a Python int, so that tau and epoch_of are exact for any round; a
+        # bool raises TypeError, as every other count does
+        object.__setattr__(self, "tau1", _whole(self.tau1))
+        # a run's epoch sizes are int64 arrays
         if not 2 <= self.tau1 < 2**63:
             raise ValueError("tau1 must lie in [2, 2^63)")
 
@@ -178,23 +172,20 @@ class EpochSchedule:
             raise ValueError("round index must be >= 1")
         return 1 + ((t - 1) // self.tau1).bit_length()
 
-    def epoch_size(self, m):
-        """Rounds in epoch m >= 1, an int or an int array of epochs: tau_1 in
-        epochs 1 and 2, then doubling. An int m <= ``MAX_EPOCH`` gives an
-        exact int; an array of any integer dtype but uint64 gives int64
-        sizes, and raises ValueError for a size of 2^63 or more. A bool, a
-        bool or uint64 array or any other non-integer epoch raises
-        TypeError."""
-        if np.ndim(m) == 0:
-            # a Python int, exact however large the epoch
-            return self.tau1 << max(_epoch(m, 1) - 2, 0)
-        m = _whole(m, arrays=True)
-        if (m < 1).any():
-            raise ValueError("epoch index must be >= 1")
-        shift = np.maximum(m - 2, 0)
-        if (shift > 63 - self.tau1.bit_length()).any():
+    def epoch_size(self, m: int) -> int:
+        """Rounds in epoch m >= 1: tau_1 in epochs 1 and 2, then doubling.
+        Exact for any int epoch m <= ``MAX_EPOCH``; a bool, an array or any
+        other non-integer m raises TypeError."""
+        return self.tau1 << max(_epoch(m, 1) - 2, 0)
+
+    def _sizes(self, last: int) -> np.ndarray:
+        """The sizes of epochs 1 .. ``last``, an int >= 0, as int64, by the
+        shifts of ``epoch_size``. A size of 2^63 or more raises ValueError,
+        before any array is made."""
+        last = _whole(last)
+        if last - 2 > 63 - self.tau1.bit_length():
             raise ValueError("epoch sizes of 2^63 or more do not fit an int64 array")
-        return self.tau1 << shift
+        return self.tau1 << np.maximum(np.arange(1, last + 1) - 2, 0)
 
 
 def _gather(R: np.ndarray, A: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .core import _ONE, _ZERO, LinearPerArmModel, _clip, _constant
+from .core import _ONE, _ZERO, LinearPerArmModel, _clip, _constant, _whole
 
 # Uniform(-0.1, 0.1) noise as -0.1 + 0.2 * random(): 0.2 is 0.1 - (-0.1) exactly
 _NOISE_LOW, _NOISE_WIDTH = _constant(-0.1), _constant(0.2)
@@ -113,9 +113,13 @@ class LowerBoundEnv(BanditEnvironment):
     """Hard instance for context-blind kernels: X = (0, K) uniform, arm a
     pays alpha on its own unit interval (a, a+1] (0-indexed) and 0 elsewhere,
     with noiseless rewards and alpha = sqrt(K^2 B / (K-1)).
+
+    K is stored as an int; a bool or any other non-integer K raises
+    TypeError, and a K below 2 or a B outside [0, 1/(2K)] ValueError.
     """
 
     def __init__(self, K: int, B: float):
+        K = _whole(K)
         if K < 2:
             raise ValueError("K must be >= 2")
         if not 0.0 <= B <= 1.0 / (2 * K):
@@ -197,8 +201,10 @@ class RealizableLinearEnv(BanditEnvironment):
 
 
 def realizable_linear_env(K: int, dim: int, coefficient_seed: int) -> RealizableLinearEnv:
-    """Draw a realizable environment with means guaranteed inside [0.1, 0.9]."""
-    if K < 2:
+    """Draw a realizable environment with means guaranteed inside [0.1, 0.9].
+    A bool or any other non-integer K raises TypeError, a K below 2
+    ValueError."""
+    if _whole(K) < 2:
         raise ValueError("K must be >= 2")
     rng = np.random.Generator(np.random.Philox(coefficient_seed))
     intercepts = rng.uniform(0.35, 0.65, K)

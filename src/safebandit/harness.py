@@ -85,7 +85,6 @@ class ExperimentConfig:
                 raise ValueError("runs must be >= 1")
             if _whole(self.seed) < 0:
                 raise ValueError("seed must be >= 0")
-            _whole(self.env_k)
             # a truthy string such as "false" would turn the test on
             if not isinstance(self.avg_epoch_test, (bool, np.bool_)):
                 raise TypeError(f"avg_epoch_test must be a bool, not {self.avg_epoch_test!r}")

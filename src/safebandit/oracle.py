@@ -186,10 +186,10 @@ class LinearPerArmOracle(RegressionOracle):
 
     K must be an integer >= 1 and dim an integer >= 0 (TypeError for a
     bool or another non-integer, ValueError below the range). ``fit``
-    raises ValueError unless the contexts are (n, dim), or (n,) with dim 1,
-    the actions are integers in 0..K-1, one per reward, and every context
-    and reward is finite: a NaN reward would make its arm's coefficients
-    NaN, and every later draw would play arm 0.
+    raises ValueError unless the contexts are (n, dim), the actions are
+    integers in 0..K-1, one per reward, and every context and reward is
+    finite: a NaN reward would make its arm's coefficients NaN, and every
+    later draw would play arm 0.
     """
 
     def __init__(self, K: int, dim: int = 1):
@@ -215,7 +215,7 @@ class LinearPerArmOracle(RegressionOracle):
         n_rows = len(arms)
         if n_rows == 0:
             raise ValueError("cannot fit on an empty dataset")
-        if xs.shape != (n_rows, dim) and not (dim == 1 and xs.shape == (n_rows,)):
+        if xs.shape != (n_rows, dim):
             raise ValueError(f"expected contexts of shape ({n_rows}, {dim}), got {xs.shape}")
         if arms.dtype.kind not in "iu":
             raise ValueError(f"actions must be integers, not {arms.dtype}")

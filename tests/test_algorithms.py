@@ -95,13 +95,14 @@ class TestGammaM:
             gamma_m(0, EpochSchedule(2), RATE, 0.01, 2)
 
     @pytest.mark.parametrize(
-        "m", [2.5, 2.0, 1.0, np.array([1.0, 2.0]), True, False, np.array([True, False])]
+        "m",
+        [2.5, 2.0, 1.0, np.array([1.0, 2.0]), True, False, np.array([True, False]), np.arange(1, 5)],
     )
     def test_non_integer_epoch_raises(self, m):
         with pytest.raises(TypeError):
             gamma_m(m, EpochSchedule(2), LinearChiSquaredRate(), 0.01, 2)
 
-    @pytest.mark.parametrize("m", [65, 2**63, 2**70, np.array([2, 65])])
+    @pytest.mark.parametrize("m", [65, 2**63, 2**70])
     def test_previous_epoch_past_int64_raises(self, m):
         # tau1 2: epoch 64 holds 2^63 rounds, so epoch 65 and later cannot
         # be sized in int64; epoch 64, after 2^62 rounds, still can
@@ -112,9 +113,8 @@ class TestGammaM:
     @pytest.mark.parametrize("xi", [0.0, -0.25, float("nan")])
     def test_rate_without_a_positive_xi_raises(self, xi):
         assert gamma_m(1, EpochSchedule(2), FixedRate(xi), 0.01, 2) == 1.0
-        for m in (2, np.arange(1, 5)):
-            with pytest.raises(ValueError, match="positive"):
-                gamma_m(m, EpochSchedule(2), FixedRate(xi), 0.01, 2)
+        with pytest.raises(ValueError, match="positive"):
+            gamma_m(2, EpochSchedule(2), FixedRate(xi), 0.01, 2)
 
 
 class TestLPrimeAndChooseSafe:
@@ -354,7 +354,7 @@ def test_run_plan_equals_per_epoch_thresholds(tau1, rate):
     rounds, terms = algorithms._check_plan(s, rate, dp, K, tau1)
     assert rounds.dtype == np.int64 and rounds.shape == (0,) and terms.shape == (4, 0)
     one_by_one = np.array([gamma_m(m, s, rate, dp, K) for m in range(1, 23)])
-    assert gamma_m(np.arange(1, 23), s, rate, dp, K).tobytes() == one_by_one.tobytes()
+    assert algorithms._gammas(s, rate, dp, K, 22).tobytes() == one_by_one.tobytes()
 
 
 class TestThresholdsRejectRoundsOutsideTheEpoch:

@@ -145,8 +145,9 @@ class TestMStar:
         assert m_star(0.0, s, RATE, 0.05 / 13, m_cap=20) is None
         # huge B: fails already at m=1 -> 0
         assert m_star(1e9, s, RATE, 0.05 / 13, m_cap=20) == 0
-        with pytest.raises(ValueError):
-            m_star(-0.1, s, RATE, 0.05 / 13)
+        for B in (-0.1, float("nan")):
+            with pytest.raises(ValueError):
+                m_star(B, s, RATE, 0.05 / 13)
 
 
 def mask_epoch_summaries(trace):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from safebandit import (
+    AlgorithmConfig,
     ConstantModel,
     EpochSchedule,
     LinearPerArmModel,
@@ -53,10 +54,9 @@ class TestEpochSchedule:
             # scalars stay exact past int64
             want = [s.tau(m) - s.tau(m - 1) for m in range(1, 70)]
             assert [s.epoch_size(m) for m in range(1, 70)] == want
-            assert s.epoch_size(np.arange(1, 12)).tolist() == want[:11]
-            # sized in int64 whatever the epochs' integer dtype
-            for dtype in (np.int8, np.uint8, np.int32):
-                assert s.epoch_size(np.arange(1, 12, dtype=dtype)).tolist() == want[:11]
+            # a run's sizes, in int64
+            assert s._sizes(11).dtype == np.int64 and s._sizes(11).tolist() == want[:11]
+            assert s._sizes(0).shape == (0,)
         assert [EpochSchedule(2).epoch_size(m) for m in range(1, 5)] == [2, 2, 4, 8]
 
     def test_epoch_size_takes_integer_epochs_only(self):
@@ -66,18 +66,18 @@ class TestEpochSchedule:
         for m in (2.5, 3.9, 2.0, np.float64(3.0), np.array(2.5)):
             with pytest.raises(TypeError):
                 s.epoch_size(m)
-        # nor is a float or a uint64 array, which int64 cannot hold safely
-        for m in (np.array([2.0, 3.0]), np.array([2, 3], dtype=np.uint64)):
+        # nor is an array of epochs, of any dtype
+        for m in (np.array([2, 3]), np.array([2.0, 3.0]), np.array([2, 3], dtype=np.uint64)):
             with pytest.raises(TypeError):
                 s.epoch_size(m)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             EpochSchedule(1)
-        # an epoch-size array holds tau1 as an int64
+        # a run's epoch sizes hold tau1 as an int64
         with pytest.raises(ValueError, match="tau1"):
             EpochSchedule(2**63)
-        assert EpochSchedule(2**63 - 1).epoch_size(np.array([1, 2])).tolist() == [2**63 - 1] * 2
+        assert EpochSchedule(2**63 - 1)._sizes(2).tolist() == [2**63 - 1] * 2
         with pytest.raises(ValueError):
             EpochSchedule(2).tau(-1)
         with pytest.raises(ValueError):
@@ -86,15 +86,15 @@ class TestEpochSchedule:
             EpochSchedule(2).epoch_of(5.0)
         with pytest.raises(ValueError):
             EpochSchedule(2).epoch_size(0)
-        with pytest.raises(ValueError):
-            EpochSchedule(2).epoch_size(np.array([2, 0, 3]))
-        # 3 * 2^64 rounds: an int64 array would wrap it to 0
-        with pytest.raises(ValueError, match="int64"):
-            EpochSchedule(3).epoch_size(np.array([66]))
+        # 3 * 2^64 rounds: an int64 array would wrap it to 0; epoch 63's
+        # 3 * 2^61 rounds still fit
+        assert EpochSchedule(3)._sizes(63)[-1] == 3 << 61
+        for last in (64, 66, 2**70):
+            with pytest.raises(ValueError, match="int64"):
+                EpochSchedule(3)._sizes(last)
 
     def test_bool_epochs_and_rounds_raise(self):
-        # operator.index takes a Python bool as 0 or 1, and a bool array
-        # would pass as ints
+        # operator.index takes a Python bool as 0 or 1
         s = EpochSchedule(2)
         for method in (s.tau, s.epoch_of, s.epoch_size):
             for value in (True, False, np.True_):
@@ -103,6 +103,12 @@ class TestEpochSchedule:
         for m in (np.array([True, True]), np.array([False])):
             with pytest.raises(TypeError):
                 s.epoch_size(m)
+        # nor is a bool tau1 a count of rounds, bare or through the config
+        for tau1 in (True, False, np.True_):
+            with pytest.raises(TypeError):
+                EpochSchedule(tau1)
+            with pytest.raises(TypeError):
+                AlgorithmConfig(tau1, 0.05, 8)
 
     def test_epoch_past_the_limit_raises(self):
         # epoch MAX_EPOCH is exact; past it the exact ints would only grow

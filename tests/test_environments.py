@@ -83,6 +83,14 @@ class TestLowerBoundEnv:
         with pytest.raises(ValueError):
             LowerBoundEnv(2, -0.1)
 
+    def test_arms_must_be_integers(self):
+        # at construction, not as a bare TypeError from the first batch
+        for K in (2.5, np.float64(3.0), True, np.True_):
+            with pytest.raises(TypeError):
+                LowerBoundEnv(K, 0.05)
+        env = LowerBoundEnv(np.int64(3), 0.05)
+        assert type(env.K) is int and env.K == 3
+
 
 class TestRealizableLinearEnv:
     def test_optimal_arm_switch(self):
@@ -122,6 +130,11 @@ class TestRealizableLinearEnv:
     def test_rejects_fewer_than_two_arms(self):
         for K in (1, 0, -3):
             with pytest.raises(ValueError):
+                realizable_linear_env(K, dim=1, coefficient_seed=0)
+
+    def test_bool_arms_raise(self):
+        for K in (True, np.True_):
+            with pytest.raises(TypeError):
                 realizable_linear_env(K, dim=1, coefficient_seed=0)
 
     def test_coefficient_seed_determinism(self):

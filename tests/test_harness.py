@@ -118,6 +118,8 @@ class TestConfig:
         algo_cfg, env = cfg.validate()
         assert algo_cfg == AlgorithmConfig(4, 0.05, 64, False)
         assert isinstance(env, LowerBoundEnv) and env.K == 3
+        # intro-example reads no env_k, so it refuses none
+        assert isinstance(ExperimentConfig(env_k=2.5).validate()[1], IntroExampleEnv)
 
     # a ConfigError before out is made, not a TypeError from deep in the run
     # or, for runs=True, a one-run replication

@@ -299,23 +299,16 @@ class TestLinearPerArmOracle:
         assert model.slopes.shape == (3, 0)
         np.testing.assert_array_equal(model.values(np.zeros((2, 0))), np.clip([model.intercepts] * 2, 0, 1))
 
-    def test_flat_contexts_at_dim_one(self):
-        rng = np.random.Generator(np.random.Philox(4))
-        xs, arms, rewards = rng.random(30), rng.integers(0, 2, 30), rng.random(30)
-        oracle = LinearPerArmOracle(K=2, dim=1)
-        flat = oracle.fit(Dataset(xs, arms, rewards))
-        column = oracle.fit(Dataset(xs[:, None], arms, rewards))
-        assert flat.intercepts.tobytes() == column.intercepts.tobytes()
-        assert flat.slopes.tobytes() == column.slopes.tobytes()
-
     @pytest.mark.parametrize(
         "dim, shape",
-        [(1, (4, 2)), (2, (8, 1)), (2, (8,)), (2, (16,)), (1, (8, 1, 1)), (1, (7, 1)), (0, (8,)), (0, (8, 1))],
+        [(1, (4, 2)), (2, (8, 1)), (2, (8,)), (2, (16,)), (1, (8, 1, 1)), (1, (7, 1)), (0, (8,)), (0, (8, 1)),
+         (1, (8,))],
         ids=lambda v: str(v).replace(" ", ""),
     )
     def test_contexts_of_another_shape_raise(self, dim, shape):
         # (4, 2) contexts for 8 rows at dim 1, or (8, 1) for 4 rows at dim
-        # 2, hold as many values as the right shape: a reshape would fit them
+        # 2, hold as many values as the right shape: a reshape would fit
+        # them; nor are flat (8,) contexts a column at dim 1
         n = 4 if shape == (8, 1) and dim == 2 else 8
         data = Dataset(np.zeros(shape), np.arange(n) % 2, np.zeros(n))
         with pytest.raises(ValueError, match="contexts of shape"):
