@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EpochSchedule, RunTrace, _epoch, _gather, _whole, zero_model
+from .core import EpochSchedule, RunTrace, _at_least, _epoch, _gather, _whole, zero_model
 from .environments import BanditEnvironment, _check_batch
 from .oracle import Dataset, EstimationRate, RegressionOracle
 
@@ -34,9 +34,11 @@ class AlgorithmConfig:
             raise ValueError("delta must lie in (0, 1)")
         # an int, as EpochSchedule's tau1: a bool or any other non-integer
         # horizon raises TypeError here, not deep inside the run
-        object.__setattr__(self, "horizon", _whole(self.horizon))
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        object.__setattr__(self, "horizon", _at_least(self.horizon, 1, "horizon"))
+        # a truthy string such as "false" would turn the test on
+        if not isinstance(self.enable_avg_epoch_test, (bool, np.bool_)):
+            raise TypeError(f"enable_avg_epoch_test must be a bool, not {self.enable_avg_epoch_test!r}")
+        object.__setattr__(self, "enable_avg_epoch_test", bool(self.enable_avg_epoch_test))
 
     @property
     def delta_prime(self) -> float:
@@ -124,7 +126,9 @@ def _gammas(schedule: EpochSchedule, rate: EstimationRate, delta_prime: float, K
     """gamma of epochs 1 .. ``last``, an int >= 1, as a float64 array: 1 in
     epoch 1, then sqrt(K / (8 xi)) with xi evaluated at the previous epoch's
     size. Raises ValueError for a previous epoch of 2^63 rounds or more,
-    before any array is made, and for a rate whose xi is not positive."""
+    before any array is made, for a rate whose xi is not positive and for a
+    K below 1; TypeError for a bool or any other non-integer K."""
+    K = _at_least(K, 1, "K")
     xi = _xi_epochs(schedule._sizes(last - 1), rate, delta_prime)
     # negated, so that a NaN xi fails as well
     if not (xi > 0).all():
@@ -138,11 +142,9 @@ def gamma_m(
     """Exploitation parameter of epoch m, the last of ``_gammas``' values
     through epoch m, so the engine plays this value. Raises ValueError for
     m < 1 and where ``_gammas`` does (for a rate whose xi is not positive in
-    any of epochs 2 .. m); TypeError for a bool, an array or any other
-    non-integer m."""
-    m = _whole(m)
-    if m < 1:
-        raise ValueError("epoch index must be >= 1")
+    any of epochs 2 .. m, or a K below 1); TypeError for a bool, an array or
+    any other non-integer m or K."""
+    m = _at_least(m, 1, "epoch index")
     return float(_gammas(schedule, rate, delta_prime, K, m)[-1])
 
 
@@ -185,7 +187,12 @@ def _floor_terms(
     notation of ``thresholds``: sqrt(2 t log_m), c sqrt(K) S_t,
     c sqrt(K) sqrt(xi_m) and sqrt(2 log_m / (t - tau_{m-1})), each shaped
     like ``ts``. One call covers any mix of epochs, so a run can pay for all
-    of its checks at once."""
+    of its checks at once. A bool or any other non-integer round, scalar or
+    array element, raises TypeError, as a non-integer K does; a K below 1
+    raises ValueError."""
+    for t in ts.flat:
+        _whole(t)
+    K = _at_least(K, 1, "K")
     m = np.asarray(m)
     if m.min() < 2:
         raise ValueError("checks only run from epoch 2 onward")
@@ -249,7 +256,8 @@ def thresholds(
     concentration widths for rewards in [0, 1]; intro-example's rewards are
     unbounded.
 
-    Raises ValueError for m < 2 and for any round outside (tau_{m-1}, tau_m].
+    Raises ValueError for m < 2, for any round outside (tau_{m-1}, tau_m]
+    and for K < 1; TypeError for a bool or any other non-integer round or K.
     """
     ts = np.asarray(ts)
     terms = _floor_terms(ts, m, schedule, rate, delta_prime, K)
@@ -326,7 +334,8 @@ def _run_epoch_loop(
     fit, which read the trace. So a run holds its trace plus one epoch's
     working set.
     """
-    bitgen = np.random.Philox(seed)
+    # Philox alone takes a bool seed as 0 or 1
+    bitgen = np.random.Philox(_whole(seed))
     env_rng = np.random.Generator(bitgen)
     act_rng = np.random.Generator(bitgen.jumped())
     schedule = EpochSchedule(config.tau1)

@@ -93,27 +93,21 @@ def lower_bound_sqrt_b_bruteforce(K: int, B: float) -> float:
     return math.sqrt(float(mse.max()))
 
 
-def m_star(
-    B: float,
-    schedule: EpochSchedule,
-    rate: EstimationRate,
-    delta_prime: float,
-    m_cap: int = 60,
-):
-    """Largest epoch m with B <= xi(tau_m - tau_{m-1}, delta'/m^2), scanned up
-    to m_cap. Returns None ("infinite" within the cap) when the condition
-    still holds at m_cap, and 0 when it fails already at m = 1. A negative
-    or NaN B raises ValueError."""
+def m_star(B: float, schedule: EpochSchedule, rate: EstimationRate, delta_prime: float):
+    """Largest epoch m with B <= xi(tau_m - tau_{m-1}, delta'/m^2), scanned
+    over the epochs of the longest run an int64 trace holds, 1 ..
+    ``schedule.epoch_of(2**63 - 1)``. Returns None ("infinite") when the
+    condition still holds at that last epoch, and 0 when it fails already
+    at m = 1. A negative or NaN B raises ValueError."""
     # negated, so that a NaN B fails as well
     if not B >= 0:
         raise ValueError("B must be nonnegative")
+    cap = schedule.epoch_of(2**63 - 1)
     last = 0
-    for m in range(1, m_cap + 1):
+    for m in range(1, cap + 1):
         if B <= float(rate.xi(schedule.epoch_size(m), delta_prime / m**2)):
             last = m
-    if last == m_cap:
-        return None
-    return last
+    return None if last == cap else last
 
 
 def policy_space(env: TabularEnv) -> np.ndarray:

@@ -129,12 +129,19 @@ def _whole(n) -> int:
     return operator.index(n)
 
 
+def _at_least(n, least: int, name: str) -> int:
+    """``_whole(n)``, raising ValueError, which names ``name``, for an n
+    below ``least``."""
+    n = _whole(n)
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+    return n
+
+
 def _epoch(m, least: int) -> int:
-    """``_whole(m)``, raising ValueError for an epoch below ``least`` or
-    above ``MAX_EPOCH``."""
-    m = _whole(m)
-    if m < least:
-        raise ValueError(f"epoch index must be >= {least}")
+    """``_at_least(m, least)`` for an epoch, raising ValueError above
+    ``MAX_EPOCH`` too."""
+    m = _at_least(m, least, "epoch index")
     if m > MAX_EPOCH:
         raise ValueError(f"epoch index must be <= MAX_EPOCH = {MAX_EPOCH}")
     return m
@@ -167,9 +174,7 @@ class EpochSchedule:
         """The epoch m with tau_{m-1} < t <= tau_m, in closed form: one plus
         the bit length of (t - 1) // tau_1. Exact for any int round t >= 1;
         a bool or any other non-integer t raises TypeError."""
-        t = _whole(t)
-        if t < 1:
-            raise ValueError("round index must be >= 1")
+        t = _at_least(t, 1, "round index")
         return 1 + ((t - 1) // self.tau1).bit_length()
 
     def epoch_size(self, m: int) -> int:

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .core import _ONE, _ZERO, LinearPerArmModel, _clip, _constant, _whole
+from .core import _ONE, _ZERO, LinearPerArmModel, _at_least, _clip, _constant
 
 # Uniform(-0.1, 0.1) noise as -0.1 + 0.2 * random(): 0.2 is 0.1 - (-0.1) exactly
 _NOISE_LOW, _NOISE_WIDTH = _constant(-0.1), _constant(0.2)
@@ -119,9 +119,7 @@ class LowerBoundEnv(BanditEnvironment):
     """
 
     def __init__(self, K: int, B: float):
-        K = _whole(K)
-        if K < 2:
-            raise ValueError("K must be >= 2")
+        K = _at_least(K, 2, "K")
         if not 0.0 <= B <= 1.0 / (2 * K):
             raise ValueError("B must lie in [0, 1/(2K)]")
         self.K = K
@@ -159,7 +157,7 @@ class RealizableLinearEnv(BanditEnvironment):
 
     It alone of the built-ins also draws one round, ``sample(rng)``, since the
     benchmark's stateful shift-fallback workload wraps it a row at a time;
-    ROADMAP item 2 removes it together with the default per-row
+    ROADMAP item 3(b) removes it together with the default per-row
     ``sample_batch``. ``_draw(rng, lead)`` draws one round for lead ``()`` and
     n rounds for lead ``(n,)``. A round has the bits of row 0 of a batch of
     one and leaves the generator where the batch would, though it takes its
@@ -204,8 +202,7 @@ def realizable_linear_env(K: int, dim: int, coefficient_seed: int) -> Realizable
     """Draw a realizable environment with means guaranteed inside [0.1, 0.9].
     A bool or any other non-integer K raises TypeError, a K below 2
     ValueError."""
-    if _whole(K) < 2:
-        raise ValueError("K must be >= 2")
+    _at_least(K, 2, "K")
     rng = np.random.Generator(np.random.Philox(coefficient_seed))
     intercepts = rng.uniform(0.35, 0.65, K)
     raw = rng.uniform(-1.0, 1.0, (K, dim))

@@ -11,7 +11,7 @@ import numpy as np
 
 from .algorithms import AlgorithmConfig, run_falcon_plus, run_safe_falcon
 from .analysis import aggregate_runs, epoch_summaries
-from .core import _whole
+from .core import _at_least
 from .environments import BanditEnvironment, IntroExampleEnv, LowerBoundEnv, realizable_linear_env
 from .floatrepr import float_fields, int_fields
 from .oracle import LinearPerArmOracle
@@ -80,14 +80,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown environment {self.env!r}")
         try:
             # a float or a bool count raises TypeError, as the horizon and
-            # tau1 do, and like a ValueError becomes a ConfigError
-            if _whole(self.runs) < 1:
-                raise ValueError("runs must be >= 1")
-            if _whole(self.seed) < 0:
-                raise ValueError("seed must be >= 0")
-            # a truthy string such as "false" would turn the test on
-            if not isinstance(self.avg_epoch_test, (bool, np.bool_)):
-                raise TypeError(f"avg_epoch_test must be a bool, not {self.avg_epoch_test!r}")
+            # tau1 do, and so does a non-bool avg_epoch_test in
+            # AlgorithmConfig; like a ValueError it becomes a ConfigError
+            _at_least(self.runs, 1, "runs")
+            _at_least(self.seed, 0, "seed")
             if self.runs * self.horizon > ROUND_BUDGET:
                 raise ValueError("runs * T exceeds the round budget")
             algo_cfg = AlgorithmConfig(self.tau1, self.delta, self.horizon, self.avg_epoch_test)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LinearPerArmModel, OutcomeModel, _whole
+from .core import LinearPerArmModel, OutcomeModel, _at_least
 
 
 class EstimationRate:
@@ -76,9 +76,7 @@ def validate_rate(rate: EstimationRate, delta: float, n_max: int) -> list[str]:
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     # a float range would check a float grid; a bool is no count either
-    n_max = _whole(n_max)
-    if n_max < 4:
-        raise ValueError("n_max must be >= 4")
+    n_max = _at_least(n_max, 4, "n_max")
     failures = []
 
     n = np.arange(3, n_max + 1, dtype=float)
@@ -193,12 +191,8 @@ class LinearPerArmOracle(RegressionOracle):
     """
 
     def __init__(self, K: int, dim: int = 1):
-        self.K = _whole(K)
-        self.dim = _whole(dim)
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
-        if self.dim < 0:
-            raise ValueError(f"dim must be >= 0, got {self.dim}")
+        self.K = _at_least(K, 1, "K")
+        self.dim = _at_least(dim, 0, "dim")
         self.rate = LinearChiSquaredRate()
 
     def fit(self, data: Dataset) -> LinearPerArmModel:

@@ -385,6 +385,31 @@ class TestThresholdsRejectRoundsOutsideTheEpoch:
             check_is_safe(1, 2, 0.0, 0.0, EpochSchedule(2), RATE, 0.05 / 13, 2)
 
 
+class TestThresholdsTakeIntegerRoundsAndArms:
+    @pytest.mark.parametrize(
+        "ts", [3.5, 3.0, np.float64(3.0), True, np.True_, np.array([3.0, 4.0]), np.array([True, False])]
+    )
+    def test_non_integer_round_raises(self, ts):
+        # epoch 2 of tau1 2 holds rounds 3 and 4
+        with pytest.raises(TypeError):
+            thresholds(ts, 2, 0.5, EpochSchedule(2), LinearChiSquaredRate(), 0.01, 2)
+
+    def test_checks_at_a_non_integer_round_raise(self):
+        s = EpochSchedule(2)
+        with pytest.raises(TypeError):
+            check_is_safe(2, 3.5, 0.5, 0.0, s, RATE, 0.01, 2)
+        with pytest.raises(TypeError):
+            avg_epoch_check(3.5, 2, 0.5, 0.0, s, RATE, 0.01, 2)
+
+    @pytest.mark.parametrize("K, error", [(2.5, TypeError), (2.0, TypeError), (True, TypeError), (0, ValueError)])
+    def test_arm_count_must_be_an_integer_of_at_least_one(self, K, error):
+        # the floors and the gammas judge K alike
+        with pytest.raises(error):
+            thresholds(3, 2, 0.5, EpochSchedule(2), LinearChiSquaredRate(), 0.01, K)
+        with pytest.raises(error):
+            gamma_m(3, EpochSchedule(2), LinearChiSquaredRate(), 0.01, K)
+
+
 class TestChecks:
     def test_check_is_safe_equality_passes(self):
         dp = 0.05 / 13
@@ -457,8 +482,24 @@ class TestAlgorithmConfig:
             with pytest.raises(TypeError):
                 AlgorithmConfig(2, 0.05, horizon)
 
+    def test_avg_epoch_flag_must_be_a_bool(self):
+        # "no" is truthy: taken as it is, it would turn the average test on
+        for flag in ("no", "false", "", 0, 1, 1.0, None, np.array(True)):
+            with pytest.raises(TypeError, match="enable_avg_epoch_test"):
+                AlgorithmConfig(2, 0.05, 8, enable_avg_epoch_test=flag)
+        for flag in (True, False, np.True_, np.False_):
+            cfg = AlgorithmConfig(2, 0.05, 8, enable_avg_epoch_test=flag)
+            assert cfg.enable_avg_epoch_test is bool(flag)
+
 
 class TestEpochLoopIntegration:
+    @pytest.mark.parametrize("run", [run_safe_falcon, run_falcon_plus])
+    @pytest.mark.parametrize("seed, error", [(True, TypeError), (np.True_, TypeError), (2.5, TypeError), (-1, ValueError)])
+    def test_runners_take_an_integer_seed(self, run, seed, error):
+        # Philox alone would play seed True as seed 1
+        with pytest.raises(error):
+            run(IntroExampleEnv(), LinearPerArmOracle(2, 1), AlgorithmConfig(2, 0.05, 256), seed)
+
     def test_cumulative_test_flips_on_collapse(self):
         env = CollapseEnv(collapse_at=128, crash=-50.0)
         cfg = AlgorithmConfig(tau1=64, delta=0.05, horizon=512, enable_avg_epoch_test=False)

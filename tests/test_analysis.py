@@ -124,30 +124,39 @@ class TestMStar:
         dp = 0.05 / 13
         values = []
         for B in (1e-4, 1e-3, 1e-2, 0.1, 0.5):
-            m = m_star(B, s, RATE, dp, m_cap=40)
+            m = m_star(B, s, RATE, dp)
             values.append(math.inf if m is None else m)
-        assert values == sorted(values, reverse=True)
+        assert values == [18, 15, 12, 8, 6]
 
     def test_direct_scan_agrees(self):
-        s = EpochSchedule(2)
+        # the scan runs through the last epoch of a run of 2^63 - 1 rounds,
+        # the longest an int64 trace holds; at tau1 2, B = 1e-17 still holds
+        # in epoch 62, past a fixed cap of 60
         dp = 0.05 / 13
-        B = 0.01
-        expected = max(
-            m
-            for m in range(1, 41)
-            if B <= -2.0 * math.log(dp / m**2) / (s.tau(m) - s.tau(m - 1))
-        )
-        assert m_star(B, s, RATE, dp, m_cap=40) == expected
+        for tau1, last in ((2, 63), (3, 63), (64, 58)):
+            s = EpochSchedule(tau1)
+            assert last == max(m for m in range(1, 100) if s.tau(m - 1) < 2**63 - 1)
+            for B in (1e-17, 0.01, 0.0):
+                holds = [
+                    m
+                    for m in range(1, last + 1)
+                    if B <= -2.0 * math.log(dp / m**2) / (s.tau(m) - s.tau(m - 1))
+                ]
+                expected = None if last in holds else max(holds, default=0)
+                assert m_star(B, s, RATE, dp) == expected, (tau1, B)
 
     def test_sentinels(self):
         s = EpochSchedule(2)
-        # tiny B: condition holds at the cap -> None ("infinite" within cap)
-        assert m_star(0.0, s, RATE, 0.05 / 13, m_cap=20) is None
+        # tiny B: condition holds at the last epoch -> None ("infinite")
+        assert m_star(0.0, s, RATE, 0.05 / 13) is None
         # huge B: fails already at m=1 -> 0
-        assert m_star(1e9, s, RATE, 0.05 / 13, m_cap=20) == 0
+        assert m_star(1e9, s, RATE, 0.05 / 13) == 0
         for B in (-0.1, float("nan")):
             with pytest.raises(ValueError):
                 m_star(B, s, RATE, 0.05 / 13)
+        # the schedule sets the last epoch; there is no cap to pass
+        with pytest.raises(TypeError):
+            m_star(0.0, s, RATE, 0.05 / 13, m_cap=0)
 
 
 def mask_epoch_summaries(trace):

@@ -4,7 +4,10 @@ The file holds the fingerprints of every file the four determinism
 configs of ``CONFIGS`` write, and of one detecting library run, with the
 numpy and BLAS that made them. ``CONFIGS`` is the one list of those
 configs: CI runs this test under two hash seeds, so two processes must
-write the recorded bytes. A deliberate change to a random stream or to an
+write the recorded bytes. A second test computes the same fingerprints in
+a child process with every numpy dispatch target above the baseline that
+this CPU has disabled (``NPY_DISABLE_CPU_FEATURES``), so the recorded
+bytes must also come from numpy's baseline loops. A deliberate change to a random stream or to an
 output's bits rewrites the file in the same commit, so its diff shows which
 outputs moved; ``PYTHONPATH=src python tests/test_golden.py`` rewrites it
 from the current tree.
@@ -12,12 +15,15 @@ from the current tree.
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
+import safebandit
 from safebandit import AlgorithmConfig, LinearPerArmOracle, RunTrace, run_safe_falcon
 from safebandit.cli import main
 from support import shifted_realizable_k5
@@ -79,16 +85,51 @@ def _record(outputs: dict) -> str:
     return json.dumps({**_numpy_build(), "outputs": outputs}, indent=2) + "\n"
 
 
-def test_outputs_match_golden_fingerprints(tmp_path):
+def _assert_golden(got: dict, how: str = ""):
     golden = json.loads(GOLDEN.read_text())
-    got = fingerprints(tmp_path)
     moved = sorted(name for name in golden["outputs"].keys() | got.keys()
                    if golden["outputs"].get(name) != got.get(name))
     recorded = {key: golden[key] for key in ("numpy", "blas")}
     # the whole record, so a failing log settles whether another build
     # needs a golden file of its own
-    assert not moved, (f"outputs moved: {', '.join(moved)}; recorded with {recorded}; "
+    assert not moved, (f"outputs moved{how}: {', '.join(moved)}; recorded with {recorded}; "
                        f"this run's record:\n{_record(got)}")
+
+
+def test_outputs_match_golden_fingerprints(tmp_path):
+    _assert_golden(fingerprints(tmp_path))
+
+
+# run in the child: each target named on the command line must read off
+# before the fingerprints are taken
+_BASELINE_CHILD = """
+import json, sys
+from pathlib import Path
+from numpy._core._multiarray_umath import __cpu_features__
+targets = sys.argv[2:]
+still_on = [t for t in targets if __cpu_features__.get(t)]
+if still_on:
+    sys.exit(f"NPY_DISABLE_CPU_FEATURES={' '.join(targets)!r} left {' '.join(still_on)} on")
+import test_golden
+print(json.dumps(test_golden.fingerprints(Path(sys.argv[1]))))
+"""
+
+
+def test_outputs_match_golden_fingerprints_on_baseline_loops(tmp_path):
+    # the target list is read here, since numpy versions name the targets
+    # differently; only the ones this CPU has can be disabled
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    targets = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    path = [str(Path(safebandit.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets),
+           "PYTHONPATH": os.pathsep.join(path + [os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run([sys.executable, "-c", _BASELINE_CHILD, str(tmp_path), *targets],
+                           env=env, capture_output=True, text=True, timeout=600)
+    assert child.returncode == 0, child.stderr
+    # the fingerprints are the last line, after what the CLI prints
+    got = json.loads(child.stdout.splitlines()[-1])
+    _assert_golden(got, f" with {' '.join(targets) or 'no target'} disabled")
 
 
 if __name__ == "__main__":
